@@ -8,10 +8,11 @@ problem: connectivity is ignored.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .graph_core import BaseGraph, Cost, CycleBasis, UnionFind, tree_path
+from .graph_core import BaseGraph, Cost, CycleBasis, UnionFind, rooted_tree
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,11 @@ def support_connected(instance: Instance, f: Circulation) -> bool:
 def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
     """Feasible start: each demand returns along the spanning tree path."""
     graph = instance.base
+    rooted = rooted_tree(graph, basis.tree)
     flows = [0] * len(graph.edges)
     for r in instance.requests:
         # subtracting d along source->target equals routing d back through the tree
-        for x, _, eid in tree_path(graph, basis.tree, r.source, r.target):
+        for x, _, eid in rooted.path(r.source, r.target):
             if x == graph.edges[eid].u:
                 flows[eid] -= r.demand
             else:
@@ -134,150 +136,89 @@ def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
     return Circulation(tuple(flows), tuple(r.demand for r in instance.requests))
 
 
-# --- min-cost circulation by canceling minimum-mean residual cycles ---
-
-_INF = None  # sentinel for unbounded residual capacity
-
-
-def _residual_arcs(graph: BaseGraph, flows: list[int]):
-    """Two residual arcs per edge: (tail, head, cost, edge_id, sign, capacity).
-
-    Pushing along the reverse of existing flow refunds the edge cost, so that
-    direction carries cost -c with capacity |flow|.  Everything else costs +c
-    with unbounded capacity.  sign is the effect of one pushed unit on the
-    signed edge flow.
-    """
-    arcs = []
-    for eid, e in enumerate(graph.edges):
-        f = flows[eid]
-        c = Fraction(e.cost)
-        if f < 0:
-            arcs.append((e.u, e.v, -c, eid, 1, -f))
-        else:
-            arcs.append((e.u, e.v, c, eid, 1, _INF))
-        if f > 0:
-            arcs.append((e.v, e.u, -c, eid, -1, f))
-        else:
-            arcs.append((e.v, e.u, c, eid, -1, _INF))
-    return arcs
-
-
-def _min_mean_cycle(vertex_count: int, arcs) -> tuple[Fraction | None, list | None]:
-    """Exact minimum mean over directed cycles, and one witness cycle.
-
-    Karp's recurrence with multi-source start gives the mean; a cycle
-    achieving it is read off the zero-reduced-cost subgraph under shifted
-    costs.  Returns (None, None) when the arc graph is acyclic.
-    """
-    if not arcs:
-        return None, None
-    n = vertex_count
-    dist = [dict.fromkeys(range(1, n + 1), Fraction(0))]
-    for _ in range(n):
-        prev = dist[-1]
-        cur: dict[int, Fraction] = {}
-        for tail, head, cost, *_ in arcs:
-            if tail in prev:
-                cand = prev[tail] + cost
-                if head not in cur or cand < cur[head]:
-                    cur[head] = cand
-        dist.append(cur)
-
-    mu: Fraction | None = None
-    for v in range(1, n + 1):
-        if v not in dist[n]:
-            continue
-        worst: Fraction | None = None
-        for k in range(n):
-            if v not in dist[k]:
-                continue
-            val = Fraction(dist[n][v] - dist[k][v], n - k)
-            if worst is None or val > worst:
-                worst = val
-        if worst is not None and (mu is None or worst < mu):
-            mu = worst
-    if mu is None:
-        return None, None
-    if mu >= 0:
-        return mu, None
-
-    # Bellman-Ford potentials under costs shifted by mu; the shifted graph has
-    # no negative cycle, so this converges within n passes.
-    pot = dict.fromkeys(range(1, n + 1), Fraction(0))
-    for _ in range(n + 1):
-        changed = False
-        for tail, head, cost, *_ in arcs:
-            cand = pot[tail] + cost - mu
-            if cand < pot[head]:
-                pot[head] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("potential computation did not converge")
-
-    tight: dict[int, list[tuple[int, int]]] = {}
-    for idx, (tail, head, cost, *_) in enumerate(arcs):
-        if cost - mu + pot[tail] - pot[head] == 0:
-            tight.setdefault(tail, []).append((head, idx))
-    for lst in tight.values():
-        lst.sort()
-
-    # any directed cycle inside the tight subgraph attains the minimum mean
-    color = dict.fromkeys(range(1, n + 1), 0)
-    for start in sorted(tight):
-        if color[start] != 0:
-            continue
-        path: list[tuple[int, int | None]] = [(start, None)]
-        on_path = {start: 0}
-        iters = {start: iter(tight.get(start, ()))}
-        color[start] = 1
-        while path:
-            v = path[-1][0]
-            advanced = False
-            for head, aidx in iters[v]:
-                if color.get(head, 2) == 1:
-                    cycle = [aidx]
-                    for w, entry in reversed(path):
-                        if w == head:
-                            break
-                        cycle.append(entry)
-                    cycle.reverse()
-                    return mu, [arcs[i] for i in cycle]
-                if color.get(head, 2) == 0:
-                    color[head] = 1
-                    path.append((head, aidx))
-                    on_path[head] = len(path) - 1
-                    iters[head] = iter(tight.get(head, ()))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                path.pop()
-    raise RuntimeError("negative mean reported but no tight cycle found")
-
-
 def min_cost_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
     """Cheapest feasible circulation; connectivity deliberately ignored.
 
-    Starts from the tree routing and repeatedly cancels the minimum-mean
-    negative cycle of the edge residual graph.  Arc flows stay pinned at the
-    demands throughout, so only edge flows move.
+    With arc flows pinned at the demands and edges uncapacitated, only edge
+    flows move, and they form a transshipment: every request target holds
+    its demand as excess, every request source as deficit, and the edges
+    must carry it back.  Successive shortest paths (Ahuja, Magnanti & Orlin,
+    *Network Flows*, ch. 9) solve it exactly.  Each round runs one Dijkstra
+    from all excess vertices at once over reduced costs c + pi(tail) -
+    pi(head), which Johnson potentials pi keep nonnegative, stops at the
+    first deficit vertex it settles, and pushes the bottleneck: the smaller
+    of the excess and deficit at the two ends and the flow on any refund
+    arc along the path.  Every round settles at least one unit of demand,
+    so it costs O(rounds * m log n) in all, and all arithmetic is on
+    integers.  Heap entries are (distance, vertex) and neighbours are
+    scanned in ascending order, so ties, and with them the optimum
+    returned, are deterministic.  ``basis`` is unused: a transshipment
+    needs no starting routing.
     """
     graph = instance.base
-    flows = list(initial_circulation(instance, basis).edge_flow)
     demands = tuple(r.demand for r in instance.requests)
-    if not graph.edges:
-        return Circulation((), demands)
-    for _ in range(100_000):
-        arcs = _residual_arcs(graph, flows)
-        mu, cycle = _min_mean_cycle(graph.vertex_count, arcs)
-        if mu is None or mu >= 0:
-            return Circulation(tuple(flows), demands)
-        delta = min(cap for *_, cap in cycle if cap is not _INF)
-        for _, _, _, eid, sign, _ in cycle:
+    n = graph.vertex_count
+    # Float costs are dyadic rationals, so one common denominator turns every
+    # cost into an exact integer weight (the scale is 1 for integer costs).
+    ratios = [e.cost.as_integer_ratio() for e in graph.edges]
+    scale = math.lcm(*(den for _, den in ratios))
+    weight = [num * (scale // den) for num, den in ratios]
+    adjacency = graph.adjacency
+    tails = [e.u for e in graph.edges]
+
+    excess = [0] * (n + 1)
+    for r in instance.requests:
+        excess[r.target] += r.demand
+        excess[r.source] -= r.demand
+    flows = [0] * len(graph.edges)
+    pot = [0] * (n + 1)
+    sources = [v for v in range(1, n + 1) if excess[v] > 0]
+    while sources:
+        dist: dict[int, int] = {}
+        pred: dict[int, tuple[int, int, int]] = {}  # vertex -> (previous vertex, edge id, sign)
+        heap = [(0, v) for v in sources]
+        best = dict.fromkeys(sources, 0)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v in dist:
+                continue
+            dist[v] = d
+            if excess[v] < 0:
+                sink, reach = v, d
+                break
+            for w, eid in adjacency[v]:
+                if w in dist:
+                    continue
+                # sign: effect of one unit pushed v -> w on the signed edge flow;
+                # against existing flow the push is a refund and costs -c
+                sign = 1 if v == tails[eid] else -1
+                c = -weight[eid] if sign * flows[eid] < 0 else weight[eid]
+                nd = d + c + pot[v] - pot[w]
+                if w not in best or nd < best[w]:
+                    best[w] = nd
+                    pred[w] = (v, eid, sign)
+                    heapq.heappush(heap, (nd, w))
+        else:
+            raise ValueError("graph not connected")
+        # capping at the sink's distance keeps every reduced cost nonnegative
+        for v in range(1, n + 1):
+            pot[v] += dist.get(v, reach)
+
+        path: list[tuple[int, int]] = []
+        v = sink
+        delta = -excess[sink]
+        while v in pred:
+            v, eid, sign = pred[v]
+            path.append((eid, sign))
+            if sign * flows[eid] < 0:
+                delta = min(delta, -sign * flows[eid])
+        delta = min(delta, excess[v])
+        for eid, sign in path:
             flows[eid] += sign * delta
-    raise RuntimeError("cycle canceling did not terminate")
+        excess[v] -= delta
+        excess[sink] += delta
+        sources = [v for v in sources if excess[v] > 0]
+    return Circulation(tuple(flows), demands)
 
 
 def decompose(graph: BaseGraph, f: Circulation) -> list[tuple[int, dict[int, int]]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -97,9 +98,12 @@ def _number(token: str, line_no: int, what: str) -> Cost:
         return int(token)
     except ValueError:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise InstanceFormatError(line_no, "bad-token", f"{what} is not a number: {token!r}") from None
+    if not math.isfinite(value):  # nan, inf, and literals like 1e400 that overflow to inf
+        raise InstanceFormatError(line_no, "non-finite-cost", f"{what} is not finite: {token!r}")
+    return value
 
 
 def _vertex(token: str, n: int, line_no: int) -> int:
@@ -199,6 +203,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(0, "bad-header", "missing header 'scp 1'")
     if n is None:
         raise InstanceFormatError(0, "missing-size", "missing 'n' line")
+    if n > len(triples) + 1:
+        # refused before the adjacency of a huge vertex count is built
+        raise InstanceFormatError(0, "not-connected", f"{len(triples)} edges cannot connect {n} vertices")
     graph = BaseGraph.from_edges(n, triples)
     if not is_connected(graph):
         raise InstanceFormatError(0, "not-connected", "graph is not connected")

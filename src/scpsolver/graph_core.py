@@ -163,52 +163,68 @@ def spanning_tree(graph: BaseGraph) -> frozenset[int]:
     return frozenset(tree)
 
 
-def _tree_parents(graph: BaseGraph, tree: frozenset[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Parent vertex and parent edge maps for the tree rooted at vertex 1."""
-    in_tree: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, graph.vertex_count + 1)}
+@dataclass(frozen=True)
+class RootedTree:
+    """A spanning tree rooted at vertex 1, indexed by vertex id.
+
+    ``parent[v]`` and ``parent_edge[v]`` lead one step toward the root and
+    ``depth[v]`` counts the steps; the root has parent 0 and edge -1, and
+    slot 0 is unused.  Building it once per tree lets every path query walk
+    up from both ends without rebuilding anything.
+    """
+
+    parent: tuple[int, ...]
+    parent_edge: tuple[int, ...]
+    depth: tuple[int, ...]
+
+    def path(self, source: int, target: int) -> list[tuple[int, int, int]]:
+        """Directed steps (from, to, edge_id) along the unique tree path."""
+        parent, parent_edge, depth = self.parent, self.parent_edge, self.depth
+        up_s: list[tuple[int, int, int]] = []
+        down_t: list[tuple[int, int, int]] = []
+        a, b = source, target
+        while depth[a] > depth[b]:
+            up_s.append((a, parent[a], parent_edge[a]))
+            a = parent[a]
+        while depth[b] > depth[a]:
+            down_t.append((parent[b], b, parent_edge[b]))
+            b = parent[b]
+        while a != b:
+            up_s.append((a, parent[a], parent_edge[a]))
+            down_t.append((parent[b], b, parent_edge[b]))
+            a, b = parent[a], parent[b]
+        return up_s + down_t[::-1]
+
+
+def rooted_tree(graph: BaseGraph, tree: frozenset[int]) -> RootedTree:
+    """Root the tree at vertex 1; raises when the edge set does not span."""
+    n = graph.vertex_count
+    in_tree: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for eid in tree:
         e = graph.edges[eid]
         in_tree[e.u].append((e.v, eid))
         in_tree[e.v].append((e.u, eid))
-    parent: dict[int, int] = {1: 0}
-    parent_edge: dict[int, int] = {}
+    parent = [0] * (n + 1)
+    parent_edge = [-1] * (n + 1)
+    depth = [-1] * (n + 1)
+    depth[1] = 0
     stack = [1]
     while stack:
         v = stack.pop()
         for w, eid in in_tree[v]:
-            if w not in parent:
+            if depth[w] < 0:
                 parent[w] = v
                 parent_edge[w] = eid
+                depth[w] = depth[v] + 1
                 stack.append(w)
-    if len(parent) != graph.vertex_count:
+    if min(depth[1:]) < 0:
         raise ValueError("edge set is not a spanning tree")
-    return parent, parent_edge
+    return RootedTree(tuple(parent), tuple(parent_edge), tuple(depth))
 
 
 def tree_path(graph: BaseGraph, tree: frozenset[int], source: int, target: int) -> list[tuple[int, int, int]]:
     """Directed steps (from, to, edge_id) along the unique tree path."""
-    parent, parent_edge = _tree_parents(graph, tree)
-    depth: dict[int, int] = {}
-
-    def depth_of(v: int) -> int:
-        if v not in depth:
-            depth[v] = 0 if parent[v] == 0 else depth_of(parent[v]) + 1
-        return depth[v]
-
-    up_s: list[tuple[int, int, int]] = []
-    down_t: list[tuple[int, int, int]] = []
-    a, b = source, target
-    while depth_of(a) > depth_of(b):
-        up_s.append((a, parent[a], parent_edge[a]))
-        a = parent[a]
-    while depth_of(b) > depth_of(a):
-        down_t.append((parent[b], b, parent_edge[b]))
-        b = parent[b]
-    while a != b:
-        up_s.append((a, parent[a], parent_edge[a]))
-        down_t.append((parent[b], b, parent_edge[b]))
-        a, b = parent[a], parent[b]
-    return up_s + list(reversed(down_t))
+    return rooted_tree(graph, tree).path(source, target)
 
 
 def fundamental_cycles(graph: BaseGraph, tree: frozenset[int]) -> CycleBasis:
@@ -218,14 +234,14 @@ def fundamental_cycles(graph: BaseGraph, tree: frozenset[int]) -> CycleBasis:
     for eid in tree:
         if not (0 <= eid < len(graph.edges)):
             raise ValueError(f"unknown edge id in tree: {eid}")
-    _tree_parents(graph, tree)  # raises when the set does not span
+    rooted = rooted_tree(graph, tree)
 
     non_tree = tuple(eid for eid in range(len(graph.edges)) if eid not in tree)
     cycles: list[dict[int, int]] = []
     for eid in non_tree:
         e = graph.edges[eid]
         cycle = {eid: 1}
-        for x, _, step_edge in tree_path(graph, tree, e.v, e.u):
+        for x, _, step_edge in rooted.path(e.v, e.u):
             cycle[step_edge] = 1 if x == graph.edges[step_edge].u else -1
         cycles.append(cycle)
     return CycleBasis(frozenset(tree), non_tree, tuple(cycles))

@@ -16,6 +16,7 @@ from scpsolver.circulation import (
     support_connected,
     zero_circulation,
 )
+from scpsolver.cli_io import _family_instance
 from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.oracle import (
     SplitMix64,
@@ -159,6 +160,17 @@ def test_initial_is_always_feasible():
         assert is_feasible(inst, initial_circulation(inst, basis_of(inst)))
 
 
+def test_lollipop_deeper_than_the_recursion_limit():
+    # a 2,500-vertex path closed into a triangle at its far end
+    n = 2500
+    g = BaseGraph.from_edges(n, [(v, v + 1, 1) for v in range(1, n)] + [(n - 2, n, 1)])
+    inst = Instance(g, (Request(1, n, 0, 2), Request(n - 1, 2, 0)))
+    basis = basis_of(inst)
+    assert len(basis.cycles) == 1
+    assert sorted(basis.cycles[0]) == sorted({n - 3, n - 2, n - 1})
+    assert is_feasible(inst, initial_circulation(inst, basis))
+
+
 # --- min-cost circulation ---
 
 
@@ -198,7 +210,8 @@ def test_min_cost_square_frozen():
     inst = square_instance()
     basis = basis_of(inst)
     f = min_cost_circulation(inst, basis)
-    assert f.edge_flow == (0, 1, 0, -1)
+    # one of two cost-4 optima; (0, 1, 0, -1) is the other
+    assert f.edge_flow == (-1, 0, -1, 0)
     assert circulation_cost(inst, f) == 4
     assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
 
@@ -274,6 +287,35 @@ def test_min_cost_leaves_no_negative_residual_cycle():
         inst = random_instance(rng.next64(), 9, 4, 6, 15)
         f = min_cost_circulation(inst, basis_of(inst))
         assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
+
+
+def with_large_demands(inst, rng):
+    """Same graph and request pairs, each demand redrawn from 20..300."""
+    return Instance(inst.base, tuple(Request(r.source, r.target, r.cost, rng.randint(20, 300)) for r in inst.requests))
+
+
+def test_min_cost_matches_oracle_at_large_demand():
+    rng = SplitMix64(19)
+    for size in range(16, 41, 2):
+        inst = with_large_demands(_family_instance("cycle", size, rng.next64()), rng)
+        basis = basis_of(inst)
+        f = min_cost_circulation(inst, basis)
+        assert is_feasible(inst, f)
+        assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
+
+
+def test_min_cost_is_optimal_and_deterministic_at_large_demand():
+    rng = SplitMix64(20)
+    instances = [with_large_demands(_family_instance("theta", size, rng.next64()), rng) for size in range(16, 41, 2)]
+    for _ in range(30):
+        inst = random_instance(rng.next64(), 12, 4, 6, 15)
+        instances.append(with_large_demands(inst, rng))
+    for inst in instances:
+        basis = basis_of(inst)
+        f = min_cost_circulation(inst, basis)
+        assert is_feasible(inst, f)
+        assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
+        assert min_cost_circulation(inst, basis) == f
 
 
 # --- decomposition ---

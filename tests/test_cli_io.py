@@ -103,6 +103,31 @@ def test_parse_errors_carry_codes_and_lines(text, code, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("line", ["edge 1 2 {}", "request 1 2 {}"])
+def test_non_finite_costs_are_rejected(token, line, tmp_path, capsys):
+    text = "scp 1\nn 2\n" + ("" if line.startswith("edge") else "edge 1 2 1\n") + line.format(token) + "\n"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert exc.value.code == "non-finite-cost"
+    f = tmp_path / "bad.scp"
+    f.write_text(text, encoding="utf-8")
+    assert main(["solve", str(f)]) == BAD_INPUT
+    assert "non-finite-cost" in capsys.readouterr().err
+
+
+def test_vertex_count_beyond_edge_count_is_refused_up_front(tmp_path, capsys):
+    # building and checking 3,000,000 vertices took seconds before being refused
+    text = "scp 1\nn 3000000\nedge 1 2 1\n"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(text)
+    assert (exc.value.code, exc.value.line_no) == ("not-connected", 0)
+    f = tmp_path / "huge.scp"
+    f.write_text(text, encoding="utf-8")
+    assert main(["solve", str(f)]) == BAD_INPUT
+    assert "not-connected" in capsys.readouterr().err
+
+
 def test_format_then_parse_roundtrips():
     inst = parse_instance(PATH_TEXT)
     again = parse_instance(format_instance(inst, comments=("generated",)))

@@ -570,6 +570,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except RuntimeError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return FAIL
     raise AssertionError("unreachable")
 
 

@@ -7,6 +7,7 @@ Vertices are integers 1..n.  Every edge gets a fixed forward orientation,
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -152,9 +153,9 @@ def spanning_tree(graph: BaseGraph) -> frozenset[int]:
         raise ValueError("graph not connected")
     tree: set[int] = set()
     visited = {1}
-    queue = [1]
+    queue = deque([1])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for w, eid in graph.adjacency[v]:
             if w not in visited:
                 visited.add(w)
@@ -248,35 +249,39 @@ def fundamental_cycles(graph: BaseGraph, tree: frozenset[int]) -> CycleBasis:
 
 
 def smooth_topology(graph: BaseGraph) -> TopologyReport:
-    """Collapse degree-2 chains; report cycle rank, branch vertices, core."""
+    """Collapse degree-2 chains; report cycle rank, branch vertices, core.
+
+    Every chain is walked once, from each vertex whose degree is not 2 in
+    ascending id order, along its neighbors in ascending order, through
+    degree-2 vertices until the next such vertex; it becomes one core edge
+    carrying the chain's summed cost.  A pure cycle keeps vertex n and one
+    loop.  Each edge is visited once, so this takes O(n + m).
+    """
     rank = cycle_rank(graph)  # also checks connectivity
     branch = tuple(v for v in range(1, graph.vertex_count + 1) if graph.degree(v) >= 3)
+    ends = tuple(v for v in range(1, graph.vertex_count + 1) if graph.degree(v) != 2)
+    if not ends:
+        n = graph.vertex_count
+        loop = (n, n, sum(e.cost for e in graph.edges))
+        return TopologyReport(rank, branch, len(branch), Multigraph((n,), (loop,)))
 
-    vertices = set(range(1, graph.vertex_count + 1))
-    edges: list[tuple[int, int, Cost]] = [(e.u, e.v, e.cost) for e in graph.edges]
-    while True:
-        slots: dict[int, list[int]] = {v: [] for v in vertices}
-        for idx, (u, v, _) in enumerate(edges):
-            slots[u].append(idx)
-            slots[v].append(idx)
-        candidate = None
-        for v in sorted(vertices):
-            s = slots[v]
-            if len(s) == 2 and s[0] != s[1]:
-                candidate = v
-                break
-        if candidate is None:
-            break
-        i, j = slots[candidate]
-        iu, iv, icost = edges[i]
-        ju, jv, jcost = edges[j]
-        a = iu if iv == candidate else iv
-        b = ju if jv == candidate else jv
-        merged = (min(a, b), max(a, b), icost + jcost)
-        edges = [e for idx, e in enumerate(edges) if idx not in (i, j)] + [merged]
-        vertices.discard(candidate)
+    adjacency = graph.adjacency
+    used = [False] * len(graph.edges)
+    edges: list[tuple[int, int, Cost]] = []
+    for start in ends:
+        for v, eid in adjacency[start]:
+            if used[eid]:
+                continue
+            used[eid] = True
+            cost = graph.edges[eid].cost
+            while len(adjacency[v]) == 2:
+                (a, ea), (b, eb) = adjacency[v]
+                v, eid = (b, eb) if ea == eid else (a, ea)
+                used[eid] = True
+                cost += graph.edges[eid].cost
+            edges.append((min(start, v), max(start, v), cost))
 
-    core = Multigraph(tuple(sorted(vertices)), tuple(edges))
+    core = Multigraph(ends, tuple(edges))
     return TopologyReport(rank, branch, len(branch), core)
 
 

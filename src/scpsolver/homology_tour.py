@@ -8,6 +8,7 @@ subsets of the few branch vertices that survive preprocessing.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .circulation import Circulation, Instance, circulation_cost
@@ -99,46 +100,69 @@ def contract_support(instance: Instance, g: Circulation) -> ContractedGraph:
     )
 
 
-def steiner_preprocess(cg: ContractedGraph) -> ReducedGraph:
-    """Strip Steiner leaves, splice degree-2 Steiner vertices, keep cheapest parallels."""
-    vertices = set(cg.vertices)
-    edges: list[tuple[int, int, Cost, tuple[int, ...]]] = [
-        (u, v, w, (eid,)) for u, v, w, eid in cg.edges
-    ]
-    terminals = cg.terminals
-    while True:
-        edges = [e for e in edges if e[0] != e[1]]
-        by_pair: dict[tuple[int, int], tuple[int, int, Cost, tuple[int, ...]]] = {}
-        for u, v, w, origin in edges:
-            key = (min(u, v), max(u, v))
-            best = by_pair.get(key)
-            if best is None or (w, origin) < (best[2], best[3]):
-                by_pair[key] = (u, v, w, origin)
-        edges = [by_pair[k] for k in sorted(by_pair)]
-
-        slots: dict[int, list[int]] = {v: [] for v in vertices}
-        for idx, (u, v, _, _) in enumerate(edges):
-            slots[u].append(idx)
-            slots[v].append(idx)
-
-        steiner = sorted(v for v in vertices if v not in terminals)
-        target = next((v for v in steiner if len(slots[v]) <= 2), None)
-        if target is None:
-            return ReducedGraph(tuple(sorted(vertices)), terminals, tuple(edges))
-        incident = slots[target]
-        if len(incident) == 0:
-            vertices.discard(target)
-        elif len(incident) == 1:
-            edges = [e for i, e in enumerate(edges) if i != incident[0]]
-            vertices.discard(target)
+def _origin_ids(origin) -> tuple[int, ...]:
+    """Sorted edge ids under an origin: an edge id or a pair of origins."""
+    if not isinstance(origin, tuple):
+        return (origin,)
+    ids: list[int] = []
+    stack = [origin]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, tuple):
+            stack.extend(o)
         else:
-            iu, iv, iw, iorigin = edges[incident[0]]
-            ju, jv, jw, jorigin = edges[incident[1]]
-            a = iu if iv == target else iv
-            b = ju if jv == target else jv
-            merged = (min(a, b), max(a, b), iw + jw, tuple(sorted(iorigin + jorigin)))
-            edges = [e for i, e in enumerate(edges) if i not in incident] + [merged]
-            vertices.discard(target)
+            ids.append(o)
+    return tuple(sorted(ids))
+
+
+def steiner_preprocess(cg: ContractedGraph) -> ReducedGraph:
+    """Strip Steiner leaves, splice degree-2 Steiner vertices, keep cheapest parallels.
+
+    Steiner vertices of degree <= 2 leave one at a time, smallest id first,
+    from a heap.  A removal never raises a degree (a splice swaps one neighbor
+    for another, a dropped parallel or a strip only removes one), so the
+    smallest live heap entry is always the smallest eligible vertex and the
+    result is canonical.  A spliced edge keeps its origin as the pair of the
+    two it replaces, sorted into edge ids only at the end or on a weight tie,
+    so a long Steiner chain costs linear time, not quadratic.
+    """
+    # vertex -> {neighbor: (weight, origin)}, cheapest parallel only, no loops
+    adj: dict[int, dict[int, tuple[Cost, object]]] = {v: {} for v in cg.vertices}
+
+    def add(u: int, v: int, w: Cost, origin: object) -> None:
+        if u == v:
+            return
+        old = adj[u].get(v)
+        if old is None or w < old[0] or (w == old[0] and _origin_ids(origin) < _origin_ids(old[1])):
+            adj[u][v] = adj[v][u] = (w, origin)
+
+    for u, v, w, eid in cg.edges:
+        add(u, v, w, eid)
+    terminals = cg.terminals
+    heap = [v for v in adj if v not in terminals and len(adj[v]) <= 2]
+    heapq.heapify(heap)
+    while heap:
+        target = heapq.heappop(heap)
+        if target not in adj:
+            continue  # pushed twice, already removed
+        incident = adj.pop(target)
+        for u in incident:
+            del adj[u][target]
+        if len(incident) == 2:
+            (a, (wa, oa)), (b, (wb, ob)) = incident.items()
+            add(a, b, wa + wb, (oa, ob))
+        for u in incident:
+            if u not in terminals and len(adj[u]) <= 2:
+                heapq.heappush(heap, u)
+
+    vertices = tuple(sorted(adj))
+    edges = tuple(
+        (u, v, w, _origin_ids(origin))
+        for u in vertices
+        for v, (w, origin) in sorted(adj[u].items())
+        if u < v
+    )
+    return ReducedGraph(vertices, terminals, edges)
 
 
 def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerSolution:

@@ -18,7 +18,7 @@ from scpsolver.cli_io import (
     solve,
 )
 from scpsolver.graph_core import BaseGraph, cycle_rank
-from scpsolver.oracle import brute_force_tour
+from scpsolver.oracle import brute_force_tour, verify_tour
 
 RING_TEXT = """\
 scp 1
@@ -251,6 +251,17 @@ def test_family_instances_solve_cleanly():
         assert report.cost == brute_force_tour(inst).cost
 
 
+@pytest.mark.parametrize("family,cost,rk", [("path", 69_526, (0, 0)), ("theta", 36_304, (2, 2))])
+def test_large_family_instances_solve(family, cost, rk):
+    # 8,000 vertices: quadratic smoothing or preprocessing would take seconds
+    inst = _family_instance(family, 8_000, 1)
+    report = solve(inst)
+    check = verify_tour(inst, report.tour)
+    assert check.valid and check.cost == cost
+    assert report.tour.total == report.cost == cost
+    assert (report.r, report.k) == rk
+
+
 # --- command line ---
 
 
@@ -286,6 +297,18 @@ def test_cli_solve_malformed(tmp_path, capsys):
     f.write_text("scp 1\nn 2\nedge 1 5 1\n", encoding="utf-8")
     assert main(["solve", str(f)]) == BAD_INPUT
     assert "bad-vertex" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_solver_error_without_traceback(tmp_path, capsys):
+    # float sums in two orders disagree; exact decimal costs are still open
+    f = tmp_path / "float.scp"
+    f.write_text(
+        "scp 1\nn 3\nedge 1 2 0.1\nedge 2 3 0.2\nedge 1 3 0.7\nrequest 1 3 0.3\n",
+        encoding="utf-8",
+    )
+    assert main(["solve", str(f)]) == FAIL
+    err = capsys.readouterr().err
+    assert err == "solver error: winning tour cost disagrees with candidate cost\n"
 
 
 def test_cli_oracle_match(ring_file, capsys):

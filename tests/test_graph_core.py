@@ -94,6 +94,14 @@ def test_spanning_tree_explores_neighbors_ascending():
     assert spanning_tree(g) == frozenset({0, 1, 2})
 
 
+def test_spanning_tree_wide_star():
+    # 40,000 leaves enter the BFS queue at once; leaf-to-leaf edges stay out
+    leaves = range(2, 40_002)
+    triples = [(1, v, 1) for v in leaves] + [(v, v + 1, 1) for v in range(2, 40_001, 2)]
+    g = BaseGraph.from_edges(40_001, triples)
+    assert spanning_tree(g) == frozenset(range(40_000))
+
+
 def test_tree_path_chains():
     g = theta_graph()
     tree = spanning_tree(g)
@@ -252,6 +260,33 @@ def test_smooth_subdivision_has_same_core_shape():
     assert len(a.vertices) == len(b.vertices)
     assert len(degree_a) == len(degree_b)
     assert sum(c for _, _, c in b.edges) == sum(c for _, _, c in a.edges) + 1
+
+
+def test_smooth_long_path_is_one_edge():
+    report = smooth_topology(path_graph(20_000, cost=3))
+    assert report.core_multigraph.vertices == (1, 20_000)
+    assert report.core_multigraph.edges == ((1, 20_000, 3 * 19_999),)
+
+
+def test_smooth_long_ring_is_one_loop():
+    report = smooth_topology(ring_graph(20_000))
+    assert report.branch_count == 0
+    assert report.core_multigraph.vertices == (20_000,)
+    assert report.core_multigraph.edges == ((20_000, 20_000, 20_000),)
+
+
+def test_smooth_long_theta_is_three_parallels():
+    # hubs 1 and 2 joined by three strands of 5,000 inner vertices each
+    triples = []
+    nxt = 3
+    for _ in range(3):
+        chain = [1, *range(nxt, nxt + 5_000), 2]
+        nxt += 5_000
+        triples += [(a, b, 1) for a, b in zip(chain, chain[1:])]
+    report = smooth_topology(BaseGraph.from_edges(nxt - 1, triples))
+    assert (report.cycle_rank, report.branch_vertices) == (2, (1, 2))
+    assert report.core_multigraph.vertices == (1, 2)
+    assert report.core_multigraph.edges == ((1, 2, 5_001),) * 3
 
 
 # --- shortest paths ---

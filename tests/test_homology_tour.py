@@ -137,6 +137,60 @@ def test_preprocess_keeps_useful_steiner_branch_vertex():
     assert len(reduced.edges) == 3
 
 
+def test_preprocess_long_steiner_chain_is_one_edge():
+    # 20,000 Steiner vertices between terminals 0 and 20,001, spliced one by one
+    n = 20_000
+    edges = tuple((i, i + 1, 2, i) for i in range(n + 1))
+    reduced = steiner_preprocess(ContractedGraph(tuple(range(n + 2)), edges, frozenset({0, n + 1}), {}))
+    assert reduced.vertices == (0, n + 1)
+    assert reduced.edges == ((0, n + 1, 2 * (n + 1), tuple(range(n + 1))),)
+
+
+def random_contracted_graph(rng):
+    # up to 12 vertices, a few isolated; small weights make ties and parallels common
+    n = rng.randint(1, 12)
+    edges = []
+    for v in range(1, n):
+        if rng.randint(0, 5):
+            edges.append((rng.randint(0, v - 1), v))
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if a != b:
+            edges.append((min(a, b), max(a, b)))
+    edges = tuple((u, v, rng.randint(1, 3), eid) for eid, (u, v) in enumerate(edges))
+    terminals = frozenset(v for v in range(n) if rng.randint(0, 2) == 0) or frozenset({0})
+    return ContractedGraph(tuple(range(n)), edges, terminals, {})
+
+
+def test_preprocess_matches_oracle_on_random_graphs():
+    rng = SplitMix64(31)
+    for _ in range(300):
+        cg = random_contracted_graph(rng)
+        reduced = steiner_preprocess(cg)
+        weight_of = {eid: w for _, _, w, eid in cg.edges}
+
+        pairs = [(u, v) for u, v, _, _ in reduced.edges]
+        assert all(u < v for u, v in pairs)
+        assert len(set(pairs)) == len(pairs)
+        degree = {v: 0 for v in reduced.vertices}
+        for u, v, w, origin in reduced.edges:
+            degree[u] += 1
+            degree[v] += 1
+            assert w == sum(weight_of[eid] for eid in origin)
+        assert all(d > 2 for v, d in degree.items() if v not in cg.terminals)
+
+        unreduced = ReducedGraph(
+            cg.vertices, cg.terminals, tuple((u, v, w, (eid,)) for u, v, w, eid in cg.edges)
+        )
+        try:
+            expected = brute_force_steiner(unreduced, cg.terminals).cost
+        except ValueError:
+            with pytest.raises(ValueError):
+                min_steiner_tree(reduced, cg.terminals)
+            continue
+        assert min_steiner_tree(reduced, cg.terminals).weight == expected
+
+
 # --- exact steiner trees ---
 
 

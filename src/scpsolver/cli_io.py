@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from time import perf_counter
 
 from .circulation import (
@@ -280,13 +281,19 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
             "parameters": {"n": report.n, "m": report.m, "p": report.p, "r": report.r, "k": report.k},
             "candidates_evaluated": report.candidates_evaluated,
             "winning_lambda": list(report.winning_lambda),
-            "steps": [
-                {"kind": s.kind, "from": s.source, "to": s.target, "id": s.ref}
-                for s in report.tour.steps
-            ],
+            "steps": [],
             "timings_ms": {},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split('"steps":[]', 1)
+        # One fragment per distinct Step object: a tour from euler_tour
+        # repeats one object per distinct arc, so long tours render cheaply.
+        steps = report.tour.steps
+        fragments = {
+            key: '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
+            for key, s in dict(zip(map(id, steps), steps)).items()
+        }
+        body = ",".join(map(fragments.__getitem__, map(id, steps)))
+        return "".join((head, '"steps":[', body, "]", tail, "\n"))
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [

@@ -9,7 +9,9 @@ subsets of the few branch vertices that survive preprocessing.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .circulation import Circulation, Instance, circulation_cost
 from .graph_core import Cost, UnionFind
@@ -234,37 +236,44 @@ def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
 
 
 def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSolution) -> EulerMultigraph:
-    """Directed multigraph whose Euler circuits are exactly the class tours."""
+    """Directed multigraph whose Euler circuits are exactly the class tours.
+
+    The balance and connectivity checks run once per distinct arc; ``arcs``
+    then repeats each distinct arc once per traversal.
+    """
     graph = instance.base
-    arcs: list[tuple[int, int, str, int, Cost]] = []
+    distinct: list[tuple[int, int, str, int, Cost]] = []
+    copies: list[int] = []
     for aid, r in enumerate(instance.requests):
-        for _ in range(g.arc_flow[aid]):
-            arcs.append((r.source, r.target, KIND_REQUEST, aid, r.cost))
+        if g.arc_flow[aid] > 0:
+            distinct.append((r.source, r.target, KIND_REQUEST, aid, r.cost))
+            copies.append(g.arc_flow[aid])
     for eid, e in enumerate(graph.edges):
         val = g.edge_flow[eid]
         if val == 0:
             continue
         tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
-        for _ in range(abs(val)):
-            arcs.append((tail, head, KIND_EDGE, eid, e.cost))
+        distinct.append((tail, head, KIND_EDGE, eid, e.cost))
+        copies.append(abs(val))
     for eid in sorted(st.edge_ids):
         e = graph.edges[eid]
-        arcs.append((e.u, e.v, KIND_EDGE, eid, e.cost))
-        arcs.append((e.v, e.u, KIND_EDGE, eid, e.cost))
+        distinct.append((e.u, e.v, KIND_EDGE, eid, e.cost))
+        distinct.append((e.v, e.u, KIND_EDGE, eid, e.cost))
+        copies += (1, 1)
 
     balance: dict[int, int] = {}
     uf = UnionFind()
-    for tail, head, *_ in arcs:
-        balance[tail] = balance.get(tail, 0) + 1
-        balance[head] = balance.get(head, 0) - 1
+    for (tail, head, *_), c in zip(distinct, copies):
+        balance[tail] = balance.get(tail, 0) + c
+        balance[head] = balance.get(head, 0) - c
         uf.add(tail)
         uf.add(head)
         uf.union(tail, head)
     if any(b != 0 for b in balance.values()):
         raise RuntimeError("euler multigraph is unbalanced")
-    if arcs and len({uf.find(v) for v in balance}) != 1:
+    if distinct and len({uf.find(v) for v in balance}) != 1:
         raise RuntimeError("euler multigraph is disconnected")
-    return EulerMultigraph(tuple(arcs))
+    return EulerMultigraph(tuple(chain.from_iterable(map(repeat, distinct, copies))))
 
 
 def euler_tour(mg: EulerMultigraph) -> Tour:
@@ -272,39 +281,101 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
 
     At each vertex unused arcs are taken ascending by (target, kind, ref)
     with requests before edges, which pins down one canonical circuit.
+
+    The walk runs on distinct arcs, each with a count of unused copies.
+    Until a count runs out every vertex keeps taking the same arc, so once
+    the forward walk closes a cycle, the cycle repeats min(count) more times
+    in one step.  The stack holds runs (arcs, copies); a run none of whose
+    tails has an unused arc pops whole, any other pops down to the last such
+    tail and the walk resumes there.  Interpreted work is per distinct arc;
+    only the list repetition that spells out the circuit is per traversal.
     """
     if not mg.arcs:
         return Tour((), 0)
-    kind_rank = {KIND_REQUEST: 0, KIND_EDGE: 1}
-    out: dict[int, list[int]] = {}
-    for idx, (tail, head, kind, ref, _) in enumerate(mg.arcs):
-        out.setdefault(tail, []).append(idx)
-    for tail in out:
-        out[tail].sort(key=lambda i: (mg.arcs[i][1], kind_rank[mg.arcs[i][2]], mg.arcs[i][3]))
-    ptr = dict.fromkeys(out, 0)
+    left_of = Counter(mg.arcs)
+    # distinct arcs ascending by (tail, target, kind, ref), requests first
+    arcs = sorted(left_of, key=lambda a: (a[0], a[1], a[2] != KIND_REQUEST, a[3]))
+    left = list(map(left_of.__getitem__, arcs))  # unused copies per distinct arc
+    tail = [a[0] for a in arcs]
+    head = [a[1] for a in arcs]
+    # vertex -> its distinct arcs with copies left, last taken first; the
+    # current one is [-1], and a vertex with none left has no entry
+    todo: dict[int, list[int]] = {}
+    for d in range(len(arcs) - 1, -1, -1):
+        todo.setdefault(tail[d], []).append(d)
 
-    start = min(out)
-    vertex_stack = [start]
-    arc_stack: list[int] = []
-    circuit: list[int] = []
-    while vertex_stack:
-        v = vertex_stack[-1]
-        if ptr.get(v, 0) < len(out.get(v, ())):
-            arc = out[v][ptr[v]]
-            ptr[v] += 1
-            vertex_stack.append(mg.arcs[arc][1])
-            arc_stack.append(arc)
+    stack: list[tuple[list[int], int]] = []  # runs (arcs, copies) of the walk
+    popped: list[tuple[list[int], int]] = []  # runs in the order they leave the stack
+    v = min(todo)
+    while True:
+        seq: list[int] = []
+        seen = {v: 0}  # vertex -> its latest position in seq
+        fresh = 0  # a cycle starting before this position holds a used-up arc
+        choices = todo.get(v)
+        while choices:
+            d = choices[-1]
+            seq.append(d)
+            left[d] -= 1
+            if left[d]:
+                v = head[d]
+                i = seen.get(v, -1)
+                if i >= fresh:
+                    # seq[i:] is a cycle whose every arc has copies left:
+                    # the walk would go round it `more` more times
+                    cycle = seq[i:]
+                    more = min([left[c] for c in cycle])
+                    for c in cycle:
+                        left[c] -= more
+                        if not left[c]:
+                            rest = todo[tail[c]]
+                            rest.pop()
+                            if not rest:
+                                del todo[tail[c]]
+                    if i:
+                        stack.append((seq[:i], 1))
+                    stack.append((cycle, more + 1))
+                    seq = []
+                    seen = {}
+                    fresh = 0
+            else:
+                choices.pop()
+                if not choices:
+                    del todo[v]
+                v = head[d]
+                fresh = len(seq)
+            seen[v] = len(seq)
+            choices = todo.get(v)
+        if seq:
+            stack.append((seq, 1))
+
+        # pop runs until a tail with an unused arc shows up, and walk from it
+        while stack:
+            seq, copies = stack.pop()
+            if not todo or todo.keys().isdisjoint(map(tail.__getitem__, seq)):
+                popped.append((seq, copies))
+                continue
+            i = len(seq) - 1
+            while tail[seq[i]] not in todo:
+                i -= 1
+            if copies > 1:
+                stack.append((seq, copies - 1))
+            if i:
+                stack.append((seq[:i], 1))
+            popped.append((seq[i:], 1))
+            v = tail[seq[i]]
+            break
         else:
-            vertex_stack.pop()
-            if arc_stack:
-                circuit.append(arc_stack.pop())
-    circuit.reverse()
+            break
+
+    steps = [Step(kind, t, h, ref) for t, h, kind, ref, _ in arcs]
+    circuit: list[Step] = []
+    costs: list[Cost] = []
+    for seq, copies in reversed(popped):
+        circuit += [steps[d] for d in seq] * copies
+        costs += [arcs[d][4] for d in seq] * copies
     if len(circuit) != len(mg.arcs):
         raise RuntimeError("euler multigraph is disconnected")
-
-    steps = tuple(Step(mg.arcs[i][2], mg.arcs[i][0], mg.arcs[i][1], mg.arcs[i][3]) for i in circuit)
-    total: Cost = sum(mg.arcs[i][4] for i in circuit)
-    return Tour(steps, total)
+    return Tour(tuple(circuit), sum(costs))
 
 
 def tour_in_class(instance: Instance, g: Circulation) -> Tour:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import scpsolver
 from scpsolver.circulation import Instance, Request
 from scpsolver.cli_io import (
     BAD_INPUT,
@@ -285,6 +289,21 @@ def test_cli_solve_json_is_byte_stable(ring_file, capsys):
     assert main(["solve", ring_file, "--json"]) == OK
     assert capsys.readouterr().out == first
     assert json.loads(first)["cost"] == 4
+
+
+def test_python_dash_m_scpsolver_matches_main(tmp_path, capsys):
+    f = tmp_path / "bulk.scp"
+    f.write_text(RING_TEXT.replace("request 1 3 2", "request 1 3 2 500"), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scpsolver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scpsolver", "solve", str(f), "--json"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == OK, proc.stderr
+    assert proc.stderr == b""
+    assert main(["solve", str(f), "--json"]) == OK
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 def test_cli_solve_missing_file(capsys):

@@ -115,9 +115,10 @@ def test_reports_match_golden_digests():
 def test_golden_corpus_covers_refusals_and_long_tours():
     with open(DIGESTS, encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert len(golden) > 350
-    assert any(v.startswith("solver error: ") for v in golden.values())
-    assert sum(not v.startswith("solver error: ") for v in golden.values()) > 350
+    refused = [name for name, value in golden.items() if value.startswith("solver error: ")]
+    assert refused and all(name.startswith("tenths/") for name in refused)
+    assert sum(name.startswith("chain/") for name in golden) == len(CHAIN_SIZES) * CHAINS_PER_SIZE
+    assert len(golden) - len(refused) > 350
 
 
 if __name__ == "__main__":

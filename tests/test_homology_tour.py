@@ -8,14 +8,18 @@ from scpsolver.circulation import (
     initial_circulation,
     min_cost_circulation,
 )
+from scpsolver.cli_io import solve
 from scpsolver.enumeration import enumerate_candidates
 from scpsolver.graph_core import BaseGraph, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import (
     KIND_EDGE,
     KIND_REQUEST,
     ContractedGraph,
+    EulerMultigraph,
     ReducedGraph,
     SteinerSolution,
+    Step,
+    Tour,
     build_euler_multigraph,
     connectivity_repair,
     contract_support,
@@ -404,3 +408,120 @@ def test_tours_valid_across_random_candidates():
             assert check.valid, check.reason
             assert check.cost == tour.total
             assert check.circulation.edge_flow == g.edge_flow
+
+
+# --- run-length euler tour against the per-unit walk ---
+
+
+def unit_euler_tour(mg):
+    """Hierholzer one traversal at a time: euler_tour before the run-length walk."""
+    if not mg.arcs:
+        return Tour((), 0)
+    kind_rank = {KIND_REQUEST: 0, KIND_EDGE: 1}
+    out = {}
+    for idx, (tail, head, kind, ref, _) in enumerate(mg.arcs):
+        out.setdefault(tail, []).append(idx)
+    for tail in out:
+        out[tail].sort(key=lambda i: (mg.arcs[i][1], kind_rank[mg.arcs[i][2]], mg.arcs[i][3]))
+    ptr = dict.fromkeys(out, 0)
+
+    vertex_stack = [min(out)]
+    arc_stack = []
+    circuit = []
+    while vertex_stack:
+        v = vertex_stack[-1]
+        if ptr.get(v, 0) < len(out.get(v, ())):
+            arc = out[v][ptr[v]]
+            ptr[v] += 1
+            vertex_stack.append(mg.arcs[arc][1])
+            arc_stack.append(arc)
+        else:
+            vertex_stack.pop()
+            if arc_stack:
+                circuit.append(arc_stack.pop())
+    circuit.reverse()
+    if len(circuit) != len(mg.arcs):
+        raise RuntimeError("euler multigraph is disconnected")
+    steps = tuple(Step(mg.arcs[i][2], mg.arcs[i][0], mg.arcs[i][1], mg.arcs[i][3]) for i in circuit)
+    return Tour(steps, sum(mg.arcs[i][4] for i in circuit))
+
+
+def random_eulerian_arcs(rng, float_costs=False):
+    """Union of random closed walks, each repeated 1..300 times, arcs shuffled.
+
+    Arcs draw (kind, ref) from a small pool, so request and edge arcs share
+    endpoints and one endpoint pair carries several kinds and refs; the cost
+    is a function of (kind, ref), zero included, as in build_euler_multigraph.
+    """
+    n = rng.randint(1, 7)
+    cost = {
+        (kind, ref): (rng.randint(0, 9) / 10 if float_costs else rng.randint(0, 3))
+        for kind in (KIND_REQUEST, KIND_EDGE)
+        for ref in range(4)
+    }
+    arcs = []
+    for _ in range(rng.randint(1, 4)):
+        walk = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+        copies = rng.randint(1, 300) if rng.randint(1, 8) == 1 else rng.randint(1, 3)
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            kind = (KIND_REQUEST, KIND_EDGE)[rng.randint(0, 1)]
+            ref = rng.randint(0, 3)
+            arcs += [(a, b, kind, ref, cost[(kind, ref)])] * copies
+    for i in range(len(arcs) - 1, 0, -1):
+        j = rng.randint(0, i)
+        arcs[i], arcs[j] = arcs[j], arcs[i]
+    return tuple(arcs)
+
+
+def step_fields(tour):
+    return [(s.kind, s.source, s.target, s.ref) for s in tour.steps]
+
+
+def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
+    rng = SplitMix64(606)
+    disconnected = 0
+    for trial in range(2000):
+        mg = EulerMultigraph(random_eulerian_arcs(rng, float_costs=trial % 4 == 0))
+        try:
+            want = unit_euler_tour(mg)
+        except RuntimeError:
+            disconnected += 1
+            with pytest.raises(RuntimeError):
+                euler_tour(mg)
+            continue
+        got = euler_tour(mg)
+        assert step_fields(got) == step_fields(want), mg.arcs
+        assert got.total == want.total and type(got.total) is type(want.total)
+        assert got == want
+    assert 50 < disconnected < 1000, disconnected
+
+
+def test_run_length_tour_refuses_disconnected_multigraph():
+    two_loops = (1, 2, KIND_EDGE, 0, 1), (2, 1, KIND_EDGE, 0, 1), (3, 4, KIND_REQUEST, 0, 2), (4, 3, KIND_EDGE, 1, 1)
+    mg = EulerMultigraph(tuple(arc for arc in two_loops for _ in range(50)))
+    for walk in (unit_euler_tour, euler_tour):
+        with pytest.raises(RuntimeError, match="disconnected"):
+            walk(mg)
+
+
+def test_run_length_tour_of_repeated_triangle_repeats_one_cycle():
+    cycle = [(1, 2, KIND_REQUEST, 0, 3), (2, 3, KIND_EDGE, 1, 1), (3, 1, KIND_EDGE, 2, 1)]
+    mg = EulerMultigraph(tuple(arc for arc in cycle for _ in range(1000)))
+    tour = euler_tour(mg)
+    assert step_fields(tour) == step_fields(unit_euler_tour(mg))
+    assert len(tour.steps) == 3000 and tour.total == 5000
+    # one Step object per distinct arc
+    assert len({id(s) for s in tour.steps}) == 3
+
+
+def test_single_request_of_demand_100000_solves():
+    g = BaseGraph.from_edges(4, [(1, 2, 2), (2, 3, 1), (3, 4, 4), (1, 4, 9)])
+    inst = Instance(g, (Request(1, 3, 3, 100_000),))
+    report = solve(inst)
+    # each unit: the request, then back 3 -> 2 -> 1 at cost 3
+    assert report.cost == 600_000
+    assert len(report.tour.steps) == 300_000
+    assert report.tour.total == report.cost
+    check = verify_tour(inst, report.tour)
+    assert check.valid and check.cost == report.cost
+    assert check.circulation.arc_flow == (100_000,)

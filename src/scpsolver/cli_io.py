@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from time import perf_counter
 
 from .circulation import (
@@ -269,6 +270,25 @@ def solve(instance: Instance) -> SolveReport:
     return SolveReport(tour, best[0], n, m, p, r, k, count, best[1], timings)
 
 
+def _render_steps(steps: tuple[Step, ...], render) -> list[str]:
+    """render(step) for each step, called once per distinct Step object.
+
+    A tour from euler_tour (or parse_report) repeats one object per
+    distinct arc, so long tours render cheaply.
+    """
+    rendered = {key: render(s) for key, s in dict(zip(map(id, steps), steps)).items()}
+    return list(map(rendered.__getitem__, map(id, steps)))
+
+
+def _json_step(s: Step) -> str:
+    return '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
+
+
+def _text_step(s: Step) -> str:
+    label = "arc" if s.kind == KIND_REQUEST else "edge"
+    return f"  {s.kind} {s.source} -> {s.target} [{label} {s.ref}]"
+
+
 def emit_report(report: SolveReport, fmt: str = "text") -> str:
     """Render a report; JSON output is canonical and byte-stable.
 
@@ -285,14 +305,7 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
             "timings_ms": {},
         }
         head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split('"steps":[]', 1)
-        # One fragment per distinct Step object: a tour from euler_tour
-        # repeats one object per distinct arc, so long tours render cheaply.
-        steps = report.tour.steps
-        fragments = {
-            key: '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
-            for key, s in dict(zip(map(id, steps), steps)).items()
-        }
-        body = ",".join(map(fragments.__getitem__, map(id, steps)))
+        body = ",".join(_render_steps(report.tour.steps, _json_step))
         return "".join((head, '"steps":[', body, "]", tail, "\n"))
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
@@ -303,9 +316,7 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
         f"lambda {list(report.winning_lambda)}",
         "steps:",
     ]
-    for s in report.tour.steps:
-        label = "arc" if s.kind == KIND_REQUEST else "edge"
-        lines.append(f"  {s.kind} {s.source} -> {s.target} [{label} {s.ref}]")
+    lines += _render_steps(report.tour.steps, _text_step)
     t = report.timings_ms
     lines.append(
         "timings_ms circulation=%.2f enumeration=%.2f class_tours=%.2f"
@@ -315,10 +326,16 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
 
 
 def parse_report(text: str) -> tuple[Cost, Tour]:
-    """Read back the JSON report's cost and tour for re-validation."""
+    """Read back the JSON report's cost and tour for re-validation.
+
+    Steps equal as (kind, from, to, id) share one Step object, as in a tour
+    from euler_tour.
+    """
     obj = json.loads(text)
-    steps = tuple(Step(d["kind"], d["from"], d["to"], d["id"]) for d in obj["steps"])
-    return obj["cost"], Tour(steps, obj["cost"])
+    # two passes over the step dicts, so no per-step key list is held
+    key = itemgetter("kind", "from", "to", "id")
+    made = {k: Step(*k) for k in dict.fromkeys(map(key, obj["steps"]))}
+    return obj["cost"], Tour(tuple(map(made.__getitem__, map(key, obj["steps"]))), obj["cost"])
 
 
 def run_acceptance(seed: int, count: int) -> AcceptanceSummary:

@@ -2,8 +2,9 @@
 
 Candidate homology classes are f plus small integer combinations of the
 fundamental cycles.  Walking coefficient vectors in reflected mixed-radix
-Gray order changes one coefficient by one per step, so each candidate is an
-O(m) update of the previous one.
+Gray order changes one coefficient by one per step, so each candidate is the
+previous one plus or minus one fundamental cycle: O(|C_i|) additions, then an
+O(m) copy of the edge flows into the yielded ``Circulation``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,37 @@ from .graph_core import CycleBasis
 LambdaVector = tuple[int, ...]
 
 
+def _gray_steps(r: int, k: int) -> Iterator[tuple[int, int]]:
+    """(coordinate, +1 or -1) for each step of the walk over [-k, k]^r.
+
+    Reflected mixed-radix Gray order (Knuth, TAOCP Vol. 4A, 7.2.1.1,
+    Algorithm H), started at all -k.  Coordinate 0 moves 2k times in a row
+    between two carries, so the search for the coordinate that carries, and
+    the direction flips below it, run once per 2k+1 vectors.
+    """
+    if r == 0:
+        return
+    hi = 2 * k
+    digits = [0] * r  # coordinate i sits at digits[i] - k
+    dirs = [1] * r
+    while True:
+        step = (0, dirs[0])
+        for _ in range(hi):
+            yield step
+        dirs[0] = -dirs[0]
+        for i in range(1, r):
+            nxt = digits[i] + dirs[i]
+            if 0 <= nxt <= hi:
+                digits[i] = nxt
+                yield (i, dirs[i])
+                for j in range(1, i):
+                    dirs[j] = -dirs[j]
+                break
+            # this digit is pinned at its wall; carry to the next coordinate
+        else:
+            return
+
+
 def gray_code_lambdas(r: int, k: int) -> Iterator[LambdaVector]:
     """All (2k+1)^r vectors in [-k, k]^r, adjacent vectors one step apart.
 
@@ -23,22 +55,11 @@ def gray_code_lambdas(r: int, k: int) -> Iterator[LambdaVector]:
     """
     if r < 0 or k < 0:
         raise ValueError("r and k must be nonnegative")
-    hi = 2 * k
-    digits = [0] * r
-    dirs = [1] * r
-    yield tuple(d - k for d in digits)
-    while True:
-        for i in range(r):
-            nxt = digits[i] + dirs[i]
-            if 0 <= nxt <= hi:
-                digits[i] = nxt
-                for j in range(i):
-                    dirs[j] = -dirs[j]
-                yield tuple(d - k for d in digits)
-                break
-            # this digit is pinned at its wall; carry to the next coordinate
-        else:
-            return
+    lam = [-k] * r
+    yield tuple(lam)
+    for i, d in _gray_steps(r, k):
+        lam[i] += d
+        yield tuple(lam)
 
 
 def enumerate_candidates(f: Circulation, basis: CycleBasis, k: int) -> Iterator[Circulation]:
@@ -47,21 +68,21 @@ def enumerate_candidates(f: Circulation, basis: CycleBasis, k: int) -> Iterator[
     Candidates appear in the same order as the lambda vectors, all share the
     arc flows of f, and all conserve flow because every term does.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     r = len(basis.non_tree_edges)
+    arc_flow = f.arc_flow
     working = list(f.edge_flow)
-    prev: LambdaVector | None = None
-    for lam in gray_code_lambdas(r, k):
-        if prev is None:
-            for i, cycle in enumerate(basis.cycles):
-                if lam[i]:
-                    for eid, val in cycle.items():
-                        working[eid] += lam[i] * val
-        else:
-            for i in range(r):
-                delta = lam[i] - prev[i]
-                if delta:
-                    for eid, val in basis.cycles[i].items():
-                        working[eid] += delta * val
-                    break
-        prev = lam
-        yield Circulation(tuple(working), f.arc_flow)
+    for cycle in basis.cycles:
+        for eid, val in cycle.items():
+            working[eid] -= k * val
+    yield Circulation(tuple(working), arc_flow)
+    # step (i, d) adds d * C_i: the (edge id, signed value) pairs to apply
+    moves = {}
+    for i, cycle in enumerate(basis.cycles):
+        moves[i, 1] = tuple(cycle.items())
+        moves[i, -1] = tuple((eid, -val) for eid, val in cycle.items())
+    for step in _gray_steps(r, k):
+        for eid, val in moves[step]:
+            working[eid] += val
+        yield Circulation(tuple(working), arc_flow)

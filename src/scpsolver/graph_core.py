@@ -93,6 +93,11 @@ class BaseGraph:
             adj[e.v].append((e.u, eid))
         return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
+    @cached_property
+    def edge_costs(self) -> tuple[Cost, ...]:
+        """Edge costs indexed by edge_id."""
+        return tuple(e.cost for e in self.edges)
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

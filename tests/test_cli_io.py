@@ -22,7 +22,7 @@ from scpsolver.cli_io import (
     solve,
 )
 from scpsolver.graph_core import BaseGraph, cycle_rank
-from scpsolver.oracle import brute_force_tour, verify_tour
+from scpsolver.oracle import brute_force_tour, random_instance, verify_tour
 
 RING_TEXT = """\
 scp 1
@@ -201,6 +201,38 @@ def test_text_report_shows_cost_and_timings():
     assert "timings_ms" in out
 
 
+@pytest.fixture(scope="module")
+def bulk_case():
+    """One request of demand 100,000: a 200,000-step tour over two distinct arcs."""
+    g = BaseGraph.from_edges(3, [(1, 2, 2), (2, 3, 1), (1, 3, 4)])
+    inst = Instance(g, (Request(1, 2, 2, 100_000),))
+    return inst, solve(inst)
+
+
+def reference_step_lines(report):
+    """The text report's step lines, formatted once per step."""
+    lines = []
+    for s in report.tour.steps:
+        label = "arc" if s.kind == "request" else "edge"
+        lines.append(f"  {s.kind} {s.source} -> {s.target} [{label} {s.ref}]")
+    return lines
+
+
+def step_lines(text):
+    lines = text.splitlines()
+    assert lines[-1].startswith("timings_ms ")
+    return lines[lines.index("steps:") + 1 : -1]
+
+
+def test_text_report_step_lines_match_per_step_formatting(bulk_case):
+    _, bulk = bulk_case
+    assert len(bulk.tour.steps) == 200_000
+    reports = [bulk] + [solve(random_instance(seed, 10, 4, 6, 20)) for seed in range(40)]
+    reports.append(solve(parse_instance(RING_TEXT.replace("request 1 3 2", "request 1 3 2 7"))))
+    for report in reports:
+        assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
+
+
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report(solve(parse_instance(RING_TEXT)), "xml")
@@ -212,6 +244,16 @@ def test_parse_report_roundtrips_cost_and_steps():
     cost, tour = parse_report(emit_report(report, "json"))
     assert cost == report.cost
     assert tour.steps == report.tour.steps
+
+
+def test_parse_report_shares_one_step_per_distinct_step(bulk_case):
+    inst, report = bulk_case
+    cost, tour = parse_report(emit_report(report, "json"))
+    assert cost == report.cost
+    assert tour == report.tour
+    assert len({id(s) for s in tour.steps}) == len(set(tour.steps)) == 2
+    check = verify_tour(inst, tour)
+    assert check.valid and check.cost == cost
 
 
 # --- acceptance runner ---

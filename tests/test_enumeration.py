@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import pytest
 
 from scpsolver.circulation import (
     Circulation,
     Instance,
+    Request,
     circulation_cost,
     initial_circulation,
     is_feasible,
@@ -47,6 +49,33 @@ def test_gray_rejects_negative_arguments():
         list(gray_code_lambdas(-1, 1))
     with pytest.raises(ValueError):
         list(gray_code_lambdas(1, -1))
+
+
+def _reference_gray(r, k):
+    """The digit/direction walker: one carry search per vector."""
+    hi = 2 * k
+    digits = [0] * r
+    dirs = [1] * r
+    yield tuple(d - k for d in digits)
+    while True:
+        for i in range(r):
+            nxt = digits[i] + dirs[i]
+            if 0 <= nxt <= hi:
+                digits[i] = nxt
+                for j in range(i):
+                    dirs[j] = -dirs[j]
+                yield tuple(d - k for d in digits)
+                break
+        else:
+            return
+
+
+@pytest.mark.parametrize(
+    "r,k",
+    [(r, k) for r in range(6) for k in range(4)] + [(6, 1), (7, 1), (0, 6), (9, 0)],
+)
+def test_gray_matches_reference_walker(r, k):
+    assert list(gray_code_lambdas(r, k)) == list(_reference_gray(r, k))
 
 
 @pytest.mark.parametrize("r,k", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)])
@@ -93,17 +122,28 @@ def _apply(f, basis, lam):
 
 
 def test_candidates_match_from_scratch_evaluation():
+    # a small radius, then k = r as solve sweeps it, in the reference walker's order
     rng = SplitMix64(21)
-    for _ in range(25):
-        inst = random_instance(rng.next64(), 8, 3, 4, 9)
+    ranks = set()
+    for _ in range(30):
+        inst = random_instance(rng.next64(), 8, 4, 4, 9)
         basis = basis_of(inst)
         f = initial_circulation(inst, basis)
-        k = rng.randint(1, 2)
-        lams = list(gray_code_lambdas(len(basis.non_tree_edges), k))
-        cands = list(enumerate_candidates(f, basis, k))
-        assert len(cands) == len(lams)
-        for lam, got in zip(lams, cands):
-            assert got == _apply(f, basis, lam)
+        r = len(basis.non_tree_edges)
+        ranks.add(r)
+        for k in (rng.randint(1, 2), r):
+            lams = list(_reference_gray(r, k))
+            cands = list(enumerate_candidates(f, basis, k))
+            assert len(cands) == len(lams) == (2 * k + 1) ** r
+            for lam, got in zip(lams, cands):
+                assert got == _apply(f, basis, lam)
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_candidates_reject_negative_radius():
+    inst = Instance(BaseGraph.from_edges(2, [(1, 2, 1)]), ())
+    with pytest.raises(ValueError):
+        list(enumerate_candidates(zero_circulation(inst), basis_of(inst), -1))
 
 
 def test_candidates_stay_feasible_and_distinct():
@@ -187,3 +227,40 @@ def test_candidate_costs_agree_with_direct_cost():
             enumerate_candidates(f, basis, 1),
         ):
             assert circulation_cost(inst, cand) == circulation_cost(inst, _apply(f, basis, lam))
+
+
+def _reference_cost(instance, f):
+    """The interpreted loop: arc terms, then edge terms, left to right."""
+    total = 0
+    for aid, r in enumerate(instance.requests):
+        total += f.arc_flow[aid] * r.cost
+    for eid, e in enumerate(instance.base.edges):
+        total += abs(f.edge_flow[eid]) * e.cost
+    return total
+
+
+def _tenths(inst):
+    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
+    return Instance(graph, tuple(Request(r.source, r.target, r.cost / 10, r.demand) for r in inst.requests))
+
+
+def test_circulation_cost_matches_reference_loop_in_value_and_type():
+    rng = SplitMix64(26)
+    floats = 0
+    for i in range(500):
+        inst = random_instance(rng.next64(), 10, 4, 6, 20)
+        if i % 2:
+            inst = _tenths(inst)
+        f = Circulation(
+            tuple(rng.randint(-6, 6) for _ in inst.base.edges),
+            tuple(rng.randint(0, 6) for _ in inst.requests),
+        )
+        got, want = circulation_cost(inst, f), _reference_cost(inst, f)
+        assert type(got) is type(want)
+        floats += type(got) is float
+        if type(got) is float and sys.version_info >= (3, 12):
+            # 3.12's sum compensates float rounding; the loop does not
+            assert got == pytest.approx(want)
+        else:
+            assert repr(got) == repr(want)
+    assert floats > 200

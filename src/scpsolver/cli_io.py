@@ -42,7 +42,6 @@ from .graph_core import (
 from .homology_tour import (
     KIND_REQUEST,
     SteinerSolution,
-    Step,
     Tour,
     build_euler_multigraph,
     connectivity_repair,
@@ -270,23 +269,28 @@ def solve(instance: Instance) -> SolveReport:
     return SolveReport(tour, best[0], n, m, p, r, k, count, best[1], timings)
 
 
-def _render_steps(steps: tuple[Step, ...], render) -> list[str]:
-    """render(step) for each step, called once per distinct Step object.
+def _step_pieces(tour: Tour, render, end: str) -> list[str]:
+    """Strings that concatenate to render(step) + end for every step of the tour.
 
-    A tour from euler_tour (or parse_report) repeats one object per
-    distinct arc, so long tours render cheaply.
+    render(kind, source, target, ref) runs once per key of the tour and each
+    run's steps are joined once; that string is then listed once per copy of
+    the run, so only C-level list repetition and the caller's final join
+    grow with the number of traversals, and no other long string is built.
     """
-    rendered = {key: render(s) for key, s in dict(zip(map(id, steps), steps)).items()}
-    return list(map(rendered.__getitem__, map(id, steps)))
+    rendered = [render(*key) + end for key in tour.keys]
+    pieces: list[str] = []
+    for seq, copies in tour.runs:
+        pieces += ["".join(map(rendered.__getitem__, seq))] * copies
+    return pieces
 
 
-def _json_step(s: Step) -> str:
-    return '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
+def _json_step(kind: str, source: int, target: int, ref: int) -> str:
+    return '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (source, ref, encode_basestring_ascii(kind), target)
 
 
-def _text_step(s: Step) -> str:
-    label = "arc" if s.kind == KIND_REQUEST else "edge"
-    return f"  {s.kind} {s.source} -> {s.target} [{label} {s.ref}]"
+def _text_step(kind: str, source: int, target: int, ref: int) -> str:
+    label = "arc" if kind == KIND_REQUEST else "edge"
+    return f"  {kind} {source} -> {target} [{label} {ref}]"
 
 
 def emit_report(report: SolveReport, fmt: str = "text") -> str:
@@ -305,8 +309,10 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
             "timings_ms": {},
         }
         head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split('"steps":[]', 1)
-        body = ",".join(_render_steps(report.tour.steps, _json_step))
-        return "".join((head, '"steps":[', body, "]", tail, "\n"))
+        pieces = _step_pieces(report.tour, _json_step, ",")
+        if pieces:
+            pieces[-1] = pieces[-1][:-1]  # no comma after the last step
+        return "".join((head, '"steps":[', *pieces, "]", tail, "\n"))
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [
@@ -316,26 +322,30 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
         f"lambda {list(report.winning_lambda)}",
         "steps:",
     ]
-    lines += _render_steps(report.tour.steps, _text_step)
     t = report.timings_ms
-    lines.append(
-        "timings_ms circulation=%.2f enumeration=%.2f class_tours=%.2f"
+    timings = (
+        "timings_ms circulation=%.2f enumeration=%.2f class_tours=%.2f\n"
         % (t["circulation"], t["enumeration"], t["class_tours"])
     )
-    return "\n".join(lines) + "\n"
+    return "".join(("\n".join(lines), "\n", *_step_pieces(report.tour, _text_step, "\n"), timings))
 
 
 def parse_report(text: str) -> tuple[Cost, Tour]:
     """Read back the JSON report's cost and tour for re-validation.
 
-    Steps equal as (kind, from, to, id) share one Step object, as in a tour
-    from euler_tour.
+    Every step's ``kind`` must be a str and its ``from``, ``to`` and ``id``
+    ints (not bools); anything else raises TypeError, a missing field
+    KeyError.  The tour has one key per distinct step, as from euler_tour.
     """
     obj = json.loads(text)
-    # two passes over the step dicts, so no per-step key list is held
+    steps = obj["steps"]
+    for field, want in (("kind", str), ("from", int), ("to", int), ("id", int)):
+        if not set(map(type, map(itemgetter(field), steps))) <= {want}:
+            raise TypeError(f"step field {field!r} is not of type {want.__name__}")
     key = itemgetter("kind", "from", "to", "id")
-    made = {k: Step(*k) for k in dict.fromkeys(map(key, obj["steps"]))}
-    return obj["cost"], Tour(tuple(map(made.__getitem__, map(key, obj["steps"]))), obj["cost"])
+    index = {k: i for i, k in enumerate(dict.fromkeys(map(key, steps)))}
+    walk = tuple(map(index.__getitem__, map(key, steps)))
+    return obj["cost"], Tour.from_runs(tuple(index), ((walk, 1),) if walk else (), obj["cost"])
 
 
 def run_acceptance(seed: int, count: int) -> AcceptanceSummary:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, repeat, starmap
+from operator import attrgetter, itemgetter, mul
 
 from .circulation import Circulation, Instance, circulation_cost
 from .graph_core import Cost, UnionFind
@@ -56,15 +59,84 @@ class Step:
     ref: int  # arc_id or edge_id
 
 
-@dataclass(frozen=True)
+StepKey = tuple[str, int, int, int]  # a Step's fields: (kind, source, target, ref)
+Run = tuple[Sequence[int], int]  # (indices into Tour.keys, copies)
+Arc = tuple[int, int, str, int, Cost]  # (tail, head, kind, ref, cost)
+
+_step_key = attrgetter("kind", "source", "target", "ref")
+
+
 class Tour:
-    steps: tuple[Step, ...]
-    total: Cost
+    """A closed walk and its total cost, held as runs over its distinct steps.
+
+    ``keys`` holds steps as (kind, source, target, ref) and ``runs`` is the
+    walk as (indices into keys, copies) pairs: each run's steps repeated
+    copies times, run after run.  euler_tour and parse_report list each
+    distinct step once, so a tour of many traversals over few distinct arcs
+    stays small.  ``steps`` spells the walk out, one Step per traversal with
+    one shared Step object per key; it is derived on first read.
+    ``Tour(steps, total)`` takes the steps flat, one key per step, and
+    ``Tour.from_runs`` takes keys and runs.  Two tours are equal when their
+    steps and totals are.
+    """
+
+    __slots__ = ("keys", "runs", "total", "_steps")
+
+    def __init__(self, steps: Iterable[Step] = (), total: Cost = 0):
+        self._steps: tuple[Step, ...] | None = tuple(steps)
+        self.keys: Sequence[StepKey] = tuple(map(_step_key, self._steps))
+        self.runs: Sequence[Run] = ((range(len(self.keys)), 1),) if self.keys else ()
+        self.total = total
+
+    @classmethod
+    def from_runs(cls, keys: Sequence[StepKey], runs: Sequence[Run], total: Cost) -> Tour:
+        tour = cls.__new__(cls)
+        tour.keys, tour.runs, tour.total, tour._steps = keys, runs, total, None
+        return tour
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        if self._steps is None:
+            made = list(starmap(Step, self.keys))
+            flat: list[Step] = []
+            for seq, copies in self.runs:
+                flat += list(map(made.__getitem__, seq)) * copies
+            self._steps = tuple(flat)
+        return self._steps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tour):
+            return NotImplemented
+        return (self.steps, self.total) == (other.steps, other.total)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.total))
+
+    def __repr__(self) -> str:
+        return f"Tour(steps={self.steps!r}, total={self.total!r})"
 
 
-@dataclass(frozen=True)
 class EulerMultigraph:
-    arcs: tuple[tuple[int, int, str, int, Cost], ...]  # (tail, head, kind, ref, cost)
+    """Directed multigraph as a number of copies per distinct arc.
+
+    ``EulerMultigraph(arcs)`` counts arcs given one per traversal, in any
+    order; build_euler_multigraph hands over its counts through
+    ``from_counts``.  ``arcs`` spells them out again, one per traversal,
+    derived on first read.
+    """
+
+    def __init__(self, arcs: Iterable[Arc] = ()):
+        self.counts: dict[Arc, int] = Counter(arcs)
+
+    @classmethod
+    def from_counts(cls, counts: dict[Arc, int]) -> EulerMultigraph:
+        mg = cls.__new__(cls)
+        mg.counts = counts
+        return mg
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(chain.from_iterable(map(repeat, self.counts, self.counts.values())))
 
 
 def contract_support(instance: Instance, g: Circulation) -> ContractedGraph:
@@ -238,11 +310,11 @@ def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
 def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSolution) -> EulerMultigraph:
     """Directed multigraph whose Euler circuits are exactly the class tours.
 
-    The balance and connectivity checks run once per distinct arc; ``arcs``
-    then repeats each distinct arc once per traversal.
+    Arcs come with their copy counts, so the balance and connectivity checks
+    and the multigraph itself are per distinct arc, not per traversal.
     """
     graph = instance.base
-    distinct: list[tuple[int, int, str, int, Cost]] = []
+    distinct: list[Arc] = []
     copies: list[int] = []
     for aid, r in enumerate(instance.requests):
         if g.arc_flow[aid] > 0:
@@ -261,9 +333,12 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
         distinct.append((e.v, e.u, KIND_EDGE, eid, e.cost))
         copies += (1, 1)
 
+    counts: dict[Arc, int] = {}
     balance: dict[int, int] = {}
     uf = UnionFind()
-    for (tail, head, *_), c in zip(distinct, copies):
+    for arc, c in zip(distinct, copies):
+        counts[arc] = counts.get(arc, 0) + c
+        tail, head = arc[0], arc[1]
         balance[tail] = balance.get(tail, 0) + c
         balance[head] = balance.get(head, 0) - c
         uf.add(tail)
@@ -273,7 +348,7 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
         raise RuntimeError("euler multigraph is unbalanced")
     if distinct and len({uf.find(v) for v in balance}) != 1:
         raise RuntimeError("euler multigraph is disconnected")
-    return EulerMultigraph(tuple(chain.from_iterable(map(repeat, distinct, copies))))
+    return EulerMultigraph.from_counts(counts)
 
 
 def euler_tour(mg: EulerMultigraph) -> Tour:
@@ -282,22 +357,22 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     At each vertex unused arcs are taken ascending by (target, kind, ref)
     with requests before edges, which pins down one canonical circuit.
 
-    The walk runs on distinct arcs, each with a count of unused copies.
-    Until a count runs out every vertex keeps taking the same arc, so once
-    the forward walk closes a cycle, the cycle repeats min(count) more times
-    in one step.  The stack holds runs (arcs, copies); a run none of whose
-    tails has an unused arc pops whole, any other pops down to the last such
-    tail and the walk resumes there.  Interpreted work is per distinct arc;
-    only the list repetition that spells out the circuit is per traversal.
+    The walk runs on the distinct arcs of mg, each with its count of unused
+    copies.  Until a count runs out every vertex keeps taking the same arc,
+    so once the forward walk closes a cycle, the cycle repeats min(count)
+    more times in one step.  The stack holds runs (arcs, copies); a run none
+    of whose tails has an unused arc pops whole, any other pops down to the
+    last such tail and the walk resumes there.  The popped runs become the
+    Tour's runs as they are, so interpreted work is per distinct arc and per
+    run; only the C-level sum of the total goes over every traversal.
     """
-    if not mg.arcs:
+    counts = mg.counts
+    if not counts:
         return Tour((), 0)
-    left_of = Counter(mg.arcs)
     # distinct arcs ascending by (tail, target, kind, ref), requests first
-    arcs = sorted(left_of, key=lambda a: (a[0], a[1], a[2] != KIND_REQUEST, a[3]))
-    left = list(map(left_of.__getitem__, arcs))  # unused copies per distinct arc
-    tail = [a[0] for a in arcs]
-    head = [a[1] for a in arcs]
+    arcs = sorted(counts, key=lambda a: (a[0], a[1], a[2] != KIND_REQUEST, a[3]))
+    left = list(map(counts.__getitem__, arcs))  # unused copies per distinct arc
+    tail, head, kind, ref, cost = zip(*arcs)
     # vertex -> its distinct arcs with copies left, last taken first; the
     # current one is [-1], and a vertex with none left has no entry
     todo: dict[int, list[int]] = {}
@@ -367,15 +442,16 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
         else:
             break
 
-    steps = [Step(kind, t, h, ref) for t, h, kind, ref, _ in arcs]
-    circuit: list[Step] = []
-    costs: list[Cost] = []
-    for seq, copies in reversed(popped):
-        circuit += [steps[d] for d in seq] * copies
-        costs += [arcs[d][4] for d in seq] * copies
-    if len(circuit) != len(mg.arcs):
+    if any(left):
         raise RuntimeError("euler multigraph is disconnected")
-    return Tour(tuple(circuit), sum(costs))
+    popped.reverse()  # runs leave the stack in reverse circuit order
+    # lists, not tuples built from iterators: those are resized, and the
+    # interpreter's per-size tuple free lists then fill up and pin memory
+    run_costs = [list(map(cost.__getitem__, seq)) for seq, _ in popped]
+    # every traversal's cost, left to right as along the circuit, so a
+    # float total rounds exactly as a flat sum over the steps would
+    total = sum(chain.from_iterable(map(mul, run_costs, map(itemgetter(1), popped))))
+    return Tour.from_runs(list(zip(kind, tail, head, ref)), popped, total)
 
 
 def tour_in_class(instance: Instance, g: Circulation) -> Tour:

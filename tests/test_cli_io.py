@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -22,6 +24,7 @@ from scpsolver.cli_io import (
     solve,
 )
 from scpsolver.graph_core import BaseGraph, cycle_rank
+from scpsolver.homology_tour import Tour
 from scpsolver.oracle import brute_force_tour, random_instance, verify_tour
 
 RING_TEXT = """\
@@ -32,6 +35,13 @@ edge 2 3 1
 edge 3 4 1
 edge 4 1 1
 request 1 3 2
+"""
+
+ONE_EDGE_TEXT = """\
+scp 1
+n 2
+edge 1 2 1
+request 1 2 1
 """
 
 PATH_TEXT = """\
@@ -218,18 +228,67 @@ def reference_step_lines(report):
     return lines
 
 
+def reference_json_steps(report):
+    """The JSON report's steps array body, formatted once per step."""
+    return ",".join(
+        '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
+        for s in report.tour.steps
+    )
+
+
 def step_lines(text):
     lines = text.splitlines()
     assert lines[-1].startswith("timings_ms ")
     return lines[lines.index("steps:") + 1 : -1]
 
 
-def test_text_report_step_lines_match_per_step_formatting(bulk_case):
+def json_steps(text):
+    return text[text.index('"steps":[') + len('"steps":[') : text.index('],"timings_ms":')]
+
+
+def tenths_instance(seed):
+    """A random_instance draw with every cost k turned into the float k/10."""
+    inst = random_instance(seed, 8, 3, 4, 20)
+    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
+    return Instance(graph, tuple(Request(r.source, r.target, r.cost / 10, r.demand) for r in inst.requests))
+
+
+@pytest.fixture(scope="module")
+def rendered_reports(bulk_case):
+    """The demand-100,000 tour, 40 random draws, a demand-7 ring and the solved k/10 float draws."""
     _, bulk = bulk_case
-    assert len(bulk.tour.steps) == 200_000
     reports = [bulk] + [solve(random_instance(seed, 10, 4, 6, 20)) for seed in range(40)]
     reports.append(solve(parse_instance(RING_TEXT.replace("request 1 3 2", "request 1 3 2 7"))))
-    for report in reports:
+    refused = 0
+    for seed in range(12):
+        try:
+            reports.append(solve(tenths_instance(seed)))
+        except RuntimeError:
+            refused += 1  # float totals disagree; the golden digests pin which ones
+    assert 0 < refused < 12
+    return reports
+
+
+def test_text_report_step_lines_match_per_step_formatting(bulk_case, rendered_reports):
+    _, bulk = bulk_case
+    assert len(bulk.tour.steps) == 200_000
+    for report in rendered_reports:
+        assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
+
+
+def test_json_report_steps_match_per_step_formatting(rendered_reports):
+    for report in rendered_reports:
+        text = emit_report(report, "json")
+        assert json_steps(text) == reference_json_steps(report)
+        assert json.loads(text)["steps"] == [
+            {"from": s.source, "id": s.ref, "kind": s.kind, "to": s.target} for s in report.tour.steps
+        ]
+
+
+def test_reports_of_flat_tours_match_per_step_formatting(rendered_reports):
+    for report in rendered_reports[1:]:
+        report = dataclasses.replace(report, tour=Tour(report.tour.steps, report.tour.total))
+        assert json_steps(emit_report(report, "json")) == reference_json_steps(report)
         assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
 
 
@@ -254,6 +313,13 @@ def test_parse_report_shares_one_step_per_distinct_step(bulk_case):
     assert len({id(s) for s in tour.steps}) == len(set(tour.steps)) == 2
     check = verify_tour(inst, tour)
     assert check.valid and check.cost == cost
+
+
+def test_parse_report_gives_solves_tour(rendered_reports):
+    for report in rendered_reports:
+        cost, tour = parse_report(emit_report(report, "json"))
+        assert cost == report.cost
+        assert tour == report.tour
 
 
 # --- acceptance runner ---
@@ -408,6 +474,22 @@ def test_cli_check_flags_tampered_steps(ring_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["check", ring_file, str(report_path)]) == FAIL
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [('"id":0', '"id":0.5'), ('"id":0', '"id":true'), ('"from":1', '"from":"1"'), ('"kind":"request"', '"kind":1')],
+)
+def test_cli_check_rejects_step_fields_of_the_wrong_type(tmp_path, capsys, field, bad):
+    instance_path = tmp_path / "one-edge.scp"
+    instance_path.write_text(ONE_EDGE_TEXT, encoding="utf-8")
+    assert main(["solve", str(instance_path), "--json"]) == OK
+    report = capsys.readouterr().out
+    assert field in report
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report.replace(field, bad, 1), encoding="utf-8")
+    assert main(["check", str(instance_path), str(report_path)]) == BAD_INPUT
+    assert "malformed report" in capsys.readouterr().err
 
 
 def test_cli_check_rejects_malformed_report(ring_file, tmp_path, capsys):

@@ -481,7 +481,10 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
     rng = SplitMix64(606)
     disconnected = 0
     for trial in range(2000):
-        mg = EulerMultigraph(random_eulerian_arcs(rng, float_costs=trial % 4 == 0))
+        arcs = random_eulerian_arcs(rng, float_costs=trial % 4 == 0)
+        mg = EulerMultigraph(arcs)
+        assert len(mg.arcs) == sum(mg.counts.values()) == len(arcs)
+        assert sorted(mg.arcs) == sorted(arcs)
         try:
             want = unit_euler_tour(mg)
         except RuntimeError:
@@ -493,6 +496,7 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
         assert step_fields(got) == step_fields(want), mg.arcs
         assert got.total == want.total and type(got.total) is type(want.total)
         assert got == want
+        assert sum(len(seq) * copies for seq, copies in got.runs) == len(arcs)
     assert 50 < disconnected < 1000, disconnected
 
 
@@ -525,3 +529,57 @@ def test_single_request_of_demand_100000_solves():
     check = verify_tour(inst, report.tour)
     assert check.valid and check.cost == report.cost
     assert check.circulation.arc_flow == (100_000,)
+
+
+def reference_euler_arcs(instance, g, st):
+    """build_euler_multigraph's arcs spelled out one per traversal, as before counts."""
+    arcs = []
+    for aid, r in enumerate(instance.requests):
+        arcs += [(r.source, r.target, KIND_REQUEST, aid, r.cost)] * g.arc_flow[aid]
+    for eid, e in enumerate(instance.base.edges):
+        val = g.edge_flow[eid]
+        tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
+        arcs += [(tail, head, KIND_EDGE, eid, e.cost)] * abs(val)
+    for eid in sorted(st.edge_ids):
+        e = instance.base.edges[eid]
+        arcs += [(e.u, e.v, KIND_EDGE, eid, e.cost), (e.v, e.u, KIND_EDGE, eid, e.cost)]
+    return arcs
+
+
+def test_euler_multigraph_counts_match_per_copy_arcs():
+    rng = SplitMix64(808)
+    checked = 0
+    for _ in range(40):
+        inst = random_instance(rng.next64(), 8, 3, 4, 9)
+        if not inst.requests:
+            continue
+        basis = basis_of(inst)
+        f = initial_circulation(inst, basis)
+        for g in enumerate_candidates(f, basis, 1):
+            st = connectivity_repair(inst, g)
+            try:
+                mg = build_euler_multigraph(inst, g, st)
+            except RuntimeError:
+                continue  # a class no repair can make Eulerian
+            want = reference_euler_arcs(inst, g, st)
+            assert len(mg.arcs) == sum(mg.counts.values()) == len(want)
+            assert sorted(mg.arcs) == sorted(want)
+            assert step_fields(euler_tour(mg)) == step_fields(unit_euler_tour(EulerMultigraph(want)))
+            checked += 1
+    assert checked > 100, checked
+
+
+def test_tour_from_runs_equals_its_flat_steps():
+    inst, g = split_path_instance()
+    tour = euler_tour(build_euler_multigraph(inst, g, SteinerSolution(frozenset({1}), 10)))
+    flat = Tour(tour.steps, tour.total)
+    assert flat == tour and hash(flat) == hash(tour)
+    assert flat.steps is tour.steps  # flat steps are kept as given
+    assert len(flat.keys) == len(flat.steps) and flat.runs == ((range(len(flat.steps)), 1),)
+    assert Tour(tour.steps, tour.total + 1) != tour
+    assert Tour((), 0).runs == () and Tour((), 0).steps == ()
+    # steps spell the runs out, one shared Step per key
+    runs = Tour.from_runs((("request", 1, 2, 0), ("edge", 2, 1, 0)), (((0, 1), 3), ((0,), 1)), 7)
+    assert [(s.kind, s.source) for s in runs.steps] == [("request", 1), ("edge", 2)] * 3 + [("request", 1)]
+    assert len({id(s) for s in runs.steps}) == 2
+    assert runs.steps is runs.steps

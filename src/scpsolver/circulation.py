@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .graph_core import BaseGraph, Cost, CycleBasis, UnionFind, rooted_tree
+from .graph_core import BaseGraph, Cost, CycleBasis, component_roots, rooted_tree
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,18 @@ def circulation_cost(instance: Instance, f: Circulation) -> Cost:
     return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
 
 
+def support_pairs(instance: Instance, f: Circulation) -> list[tuple[int, int]]:
+    """Endpoints of every edge, then every request arc, with nonzero flow."""
+    pairs = [(e.u, e.v) for e, val in zip(instance.base.edges, f.edge_flow) if val]
+    pairs += [(r.source, r.target) for r, val in zip(instance.requests, f.arc_flow) if val]
+    return pairs
+
+
 def support_connected(instance: Instance, f: Circulation) -> bool:
     """True when the nonzero edges and arcs form one connected subgraph."""
-    uf = UnionFind()
-    touched: set[int] = set()
-    for eid, e in enumerate(instance.base.edges):
-        if f.edge_flow[eid] != 0:
-            for v in (e.u, e.v):
-                uf.add(v)
-            uf.union(e.u, e.v)
-            touched.update((e.u, e.v))
-    for aid, r in enumerate(instance.requests):
-        if f.arc_flow[aid] != 0:
-            for v in (r.source, r.target):
-                uf.add(v)
-            uf.union(r.source, r.target)
-            touched.update((r.source, r.target))
-    if not touched:
-        return True
-    roots = {uf.find(v) for v in touched}
-    return len(roots) == 1
+    pairs = support_pairs(instance, f)
+    roots = component_roots(instance.base.vertex_count + 1, pairs)
+    return len({roots[u] for u, _ in pairs}) <= 1
 
 
 def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:

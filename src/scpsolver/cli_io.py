@@ -483,13 +483,6 @@ def _family_instance(family: str, size: int, seed: int) -> Instance:
 # --- command line ---
 
 
-def _resolve_seed(flag_value: int) -> int:
-    env = os.environ.get("SCP_SEED")
-    if env is not None:
-        return int(env)
-    return flag_value
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -527,6 +520,13 @@ def main(argv: list[str] | None = None) -> int:
     p_accept.add_argument("--count", type=int, default=500)
 
     args = parser.parse_args(argv)
+    env_seed = os.environ.get("SCP_SEED")
+    if "seed" in args and env_seed is not None:  # the environment wins over --seed
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            print(f"malformed input: SCP_SEED is not an integer: {env_seed!r}", file=sys.stderr)
+            return BAD_INPUT
     try:
         if args.command == "solve":
             instance = parse_instance(_read(args.file))
@@ -565,19 +565,20 @@ def main(argv: list[str] | None = None) -> int:
             return FAIL
 
         if args.command == "gen":
-            seed = _resolve_seed(args.seed)
-            instance = random_instance(seed, args.n, args.r, args.p, args.cost_max)
+            if args.n < 2 or args.r < 0 or args.p < 0 or args.cost_max < 1:
+                print("malformed input: gen needs --n >= 2, --r >= 0, --p >= 0 and --cost-max >= 1", file=sys.stderr)
+                return BAD_INPUT
+            instance = random_instance(args.seed, args.n, args.r, args.p, args.cost_max)
             comments = (
-                f"seed {seed} n_max {args.n} r_max {args.r} p_max {args.p} cost_max {args.cost_max}",
+                f"seed {args.seed} n_max {args.n} r_max {args.r} p_max {args.p} cost_max {args.cost_max}",
             )
             sys.stdout.write(format_instance(instance, comments))
             return OK
 
         if args.command == "bench":
-            seed = _resolve_seed(args.seed)
             print("family size n m r k p candidates cost ms")
             for size in args.sizes:
-                instance = _family_instance(args.family, size, seed)
+                instance = _family_instance(args.family, size, args.seed)
                 start = perf_counter()
                 report = solve(instance)
                 ms = (perf_counter() - start) * 1000.0
@@ -588,8 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             return OK
 
         if args.command == "accept":
-            seed = _resolve_seed(args.seed)
-            summary = run_acceptance(seed, args.count)
+            summary = run_acceptance(args.seed, args.count)
             for name, outcome in summary.results.items():
                 status = "PASS" if outcome.failed == 0 else "FAIL"
                 line = f"{status} {name} {outcome.passed}/{summary.count}"
@@ -603,6 +603,9 @@ def main(argv: list[str] | None = None) -> int:
         return BAD_INPUT
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return BAD_INPUT
+    except UnicodeDecodeError as exc:  # only _read decodes bytes
+        print(f"cannot read input: not UTF-8: {exc}", file=sys.stderr)
         return BAD_INPUT
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

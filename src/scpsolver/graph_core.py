@@ -16,29 +16,52 @@ Cost = int | float
 
 
 class UnionFind:
-    """Plain union-find over arbitrary hashable items."""
+    """Union-find over the integers 0..size-1, held in one list.
 
-    def __init__(self, items: Iterable = ()):
-        self.parent = {x: x for x in items}
+    ``union`` hangs the larger root under the smaller, so every root is the
+    least member of its component and ``parent[v] <= v`` always holds.
+    """
 
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
+    __slots__ = ("parent",)
 
-    def find(self, x):
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b) -> bool:
+    def union(self, a: int, b: int) -> bool:
+        """Join the components of a and b; False when they were one already."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        self.parent[rb] = ra
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         return True
+
+
+def component_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The least member of each vertex's component, for vertices 0..size-1
+    joined by the given pairs.
+
+    Since ``parent[v] <= v``, one ascending pass resolves every vertex after
+    its parent, with no further finds.
+    """
+    uf = UnionFind(size)
+    for a, b in pairs:
+        uf.union(a, b)
+    parent = uf.parent
+    for v in range(size):
+        parent[v] = parent[parent[v]]
+    return parent
 
 
 @dataclass(frozen=True)
@@ -134,15 +157,8 @@ class TopologyReport:
 
 
 def is_connected(graph: BaseGraph) -> bool:
-    reached = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w, _ in graph.adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == graph.vertex_count
+    roots = component_roots(graph.vertex_count + 1, ((e.u, e.v) for e in graph.edges))
+    return roots.count(1) == graph.vertex_count
 
 
 def cycle_rank(graph: BaseGraph) -> int:
@@ -154,8 +170,6 @@ def cycle_rank(graph: BaseGraph) -> int:
 
 def spanning_tree(graph: BaseGraph) -> frozenset[int]:
     """BFS tree from the lowest vertex id, neighbors explored ascending."""
-    if not is_connected(graph):
-        raise ValueError("graph not connected")
     tree: set[int] = set()
     visited = {1}
     queue = deque([1])
@@ -166,6 +180,8 @@ def spanning_tree(graph: BaseGraph) -> frozenset[int]:
                 visited.add(w)
                 tree.add(eid)
                 queue.append(w)
+    if len(visited) != graph.vertex_count:
+        raise ValueError("graph not connected")
     return frozenset(tree)
 
 
@@ -311,25 +327,3 @@ def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tup
             if w not in done:
                 heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
     raise ValueError(f"no path between {source} and {target}")
-
-
-def edge_components(graph: BaseGraph, edge_ids: Iterable[int]) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-    """Components of the subgraph on the given edges, plus untouched vertices."""
-    ids = list(edge_ids)
-    for eid in ids:
-        if not (0 <= eid < len(graph.edges)):
-            raise ValueError(f"unknown edge id: {eid}")
-    uf = UnionFind()
-    touched: set[int] = set()
-    for eid in ids:
-        e = graph.edges[eid]
-        uf.add(e.u)
-        uf.add(e.v)
-        uf.union(e.u, e.v)
-        touched.update((e.u, e.v))
-    groups: dict[int, set[int]] = {}
-    for v in touched:
-        groups.setdefault(uf.find(v), set()).add(v)
-    components = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
-    untouched = frozenset(range(1, graph.vertex_count + 1)) - touched
-    return components, untouched

@@ -16,8 +16,8 @@ from functools import cached_property
 from itertools import chain, repeat, starmap
 from operator import attrgetter, itemgetter, mul
 
-from .circulation import Circulation, Instance, circulation_cost
-from .graph_core import Cost, UnionFind
+from .circulation import Circulation, Instance, circulation_cost, support_pairs
+from .graph_core import Cost, UnionFind, component_roots
 
 KIND_REQUEST = "request"
 KIND_EDGE = "edge"
@@ -140,24 +140,23 @@ class EulerMultigraph:
 
 
 def contract_support(instance: Instance, g: Circulation) -> ContractedGraph:
-    """One quotient vertex per support component, one per untouched vertex."""
-    graph = instance.base
-    uf = UnionFind(range(1, graph.vertex_count + 1))
-    touched: set[int] = set()
-    for eid, e in enumerate(graph.edges):
-        if g.edge_flow[eid] != 0:
-            uf.union(e.u, e.v)
-            touched.update((e.u, e.v))
-    for aid, r in enumerate(instance.requests):
-        if g.arc_flow[aid] != 0:
-            uf.union(r.source, r.target)
-            touched.update((r.source, r.target))
+    """One quotient vertex per support component, one per untouched vertex.
 
-    classes: dict[int, list[int]] = {}
+    Quotient ids follow least vertices: component roots are least members,
+    so one ascending pass numbers each component when it reaches its least
+    vertex, and a later member takes its root's id.
+    """
+    graph = instance.base
+    pairs = support_pairs(instance, g)
+    roots = component_roots(graph.vertex_count + 1, pairs)
+    vertex_map: dict[int, int] = {}
+    count = 0
     for v in range(1, graph.vertex_count + 1):
-        classes.setdefault(uf.find(v), []).append(v)
-    ordered = sorted(classes.values(), key=min)
-    vertex_map = {v: q for q, members in enumerate(ordered) for v in members}
+        if roots[v] == v:
+            vertex_map[v] = count
+            count += 1
+        else:
+            vertex_map[v] = vertex_map[roots[v]]
 
     quotient_edges: list[tuple[int, int, Cost, int]] = []
     for eid, e in enumerate(graph.edges):
@@ -168,10 +167,8 @@ def contract_support(instance: Instance, g: Circulation) -> ContractedGraph:
             continue  # self-loop, useless for reconnection
         quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, eid))
 
-    terminals = frozenset(vertex_map[v] for v in touched)
-    return ContractedGraph(
-        tuple(range(len(ordered))), tuple(quotient_edges), terminals, vertex_map
-    )
+    terminals = frozenset(vertex_map[u] for u, _ in pairs)
+    return ContractedGraph(tuple(range(count)), tuple(quotient_edges), terminals, vertex_map)
 
 
 def _origin_ids(origin) -> tuple[int, ...]:
@@ -254,6 +251,7 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
         return SteinerSolution(frozenset(), 0)
 
     steiner = sorted(set(graph.vertices) - terminals)
+    index = {v: i for i, v in enumerate(graph.vertices)}  # union-find slots
     order = sorted(range(len(graph.edges)), key=lambda i: (graph.edges[i][2], i))
     best: tuple[Cost, frozenset[int]] | None = None
     for mask in range(1 << len(steiner)):
@@ -261,12 +259,12 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
         for i, v in enumerate(steiner):
             if mask >> i & 1:
                 nodes.add(v)
-        uf = UnionFind(nodes)
+        uf = UnionFind(len(graph.vertices))
         chosen: list[int] = []
         weight: Cost = 0
         for i in order:
             u, v, w, _ = graph.edges[i]
-            if u in nodes and v in nodes and uf.union(u, v):
+            if u in nodes and v in nodes and uf.union(index[u], index[v]):
                 chosen.append(i)
                 weight += w
         if len(chosen) != len(nodes) - 1:
@@ -335,18 +333,15 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
 
     counts: dict[Arc, int] = {}
     balance: dict[int, int] = {}
-    uf = UnionFind()
     for arc, c in zip(distinct, copies):
         counts[arc] = counts.get(arc, 0) + c
         tail, head = arc[0], arc[1]
         balance[tail] = balance.get(tail, 0) + c
         balance[head] = balance.get(head, 0) - c
-        uf.add(tail)
-        uf.add(head)
-        uf.union(tail, head)
     if any(b != 0 for b in balance.values()):
         raise RuntimeError("euler multigraph is unbalanced")
-    if distinct and len({uf.find(v) for v in balance}) != 1:
+    roots = component_roots(graph.vertex_count + 1, map(itemgetter(0, 1), distinct))
+    if len({roots[v] for v in balance}) > 1:
         raise RuntimeError("euler multigraph is disconnected")
     return EulerMultigraph.from_counts(counts)
 

@@ -519,6 +519,32 @@ def test_cli_gen_env_seed_wins(monkeypatch, capsys):
     assert capsys.readouterr().out != with_env
 
 
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--cost-max", "0"], ["--r", "-1"], ["--p", "-1"]])
+def test_cli_gen_rejects_out_of_range_flags(flags, capsys):
+    assert main(["gen", *flags]) == BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed input: gen needs")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_rejects_non_integer_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("SCP_SEED", "abc")
+    assert main(["gen"]) == BAD_INPUT
+    assert capsys.readouterr().err == "malformed input: SCP_SEED is not an integer: 'abc'\n"
+
+
+def test_cli_refuses_files_that_are_not_utf8(ring_file, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.scp"
+    latin1.write_bytes("# café\nscp 1\nn 2\nedge 1 2 1\n".encode("latin-1"))
+    assert main(["solve", str(latin1)]) == BAD_INPUT
+    assert capsys.readouterr().err.startswith("cannot read input: not UTF-8:")
+    assert main(["check", str(latin1), ring_file]) == BAD_INPUT
+    assert capsys.readouterr().err.startswith("cannot read input: not UTF-8:")
+    assert main(["check", ring_file, str(latin1)]) == BAD_INPUT
+    assert capsys.readouterr().err.startswith("cannot read input: not UTF-8:")
+
+
 def test_cli_bench_runs(capsys):
     assert main(["bench", "--family", "cycle", "--sizes", "4", "6"]) == OK
     lines = capsys.readouterr().out.strip().splitlines()

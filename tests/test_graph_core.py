@@ -2,8 +2,9 @@ import pytest
 
 from scpsolver.graph_core import (
     BaseGraph,
+    UnionFind,
+    component_roots,
     cycle_rank,
-    edge_components,
     fundamental_cycles,
     is_connected,
     shortest_path,
@@ -75,6 +76,12 @@ def test_cycle_rank_disconnected_raises():
         cycle_rank(g)
 
 
+def test_single_vertex_graph_is_connected():
+    g = BaseGraph(1, ())
+    assert is_connected(g)
+    assert cycle_rank(g) == 0
+
+
 # --- spanning tree ---
 
 
@@ -100,6 +107,12 @@ def test_spanning_tree_wide_star():
     triples = [(1, v, 1) for v in leaves] + [(v, v + 1, 1) for v in range(2, 40_001, 2)]
     g = BaseGraph.from_edges(40_001, triples)
     assert spanning_tree(g) == frozenset(range(40_000))
+
+
+def test_spanning_tree_disconnected_raises():
+    g = BaseGraph.from_edges(5, [(1, 2, 1), (2, 3, 1), (4, 5, 1)])
+    with pytest.raises(ValueError, match="graph not connected"):
+        spanning_tree(g)
 
 
 def test_tree_path_chains():
@@ -321,29 +334,60 @@ def test_shortest_path_cost_is_symmetric():
         assert shortest_path(g, u, v)[0] == shortest_path(g, v, u)[0]
 
 
-# --- edge components ---
+# --- components ---
 
 
-def test_edge_components_empty_subset():
-    comps, untouched = edge_components(path_graph(3), [])
-    assert comps == ()
-    assert untouched == frozenset({1, 2, 3})
+def edge_pairs(graph, edge_ids):
+    return [(graph.edges[eid].u, graph.edges[eid].v) for eid in edge_ids]
 
 
-def test_edge_components_split():
+def test_component_roots_empty_subset():
+    assert component_roots(4, edge_pairs(path_graph(3), [])) == [0, 1, 2, 3]
+
+
+def test_component_roots_split_path():
     g = path_graph(5)
-    comps, untouched = edge_components(g, [0, 3])
-    assert comps == (frozenset({1, 2}), frozenset({4, 5}))
-    assert untouched == frozenset({3})
+    assert component_roots(6, edge_pairs(g, [0, 3])) == [0, 1, 1, 3, 4, 4]
 
 
-def test_edge_components_whole_graph():
+def test_component_roots_whole_theta():
     g = theta_graph()
-    comps, untouched = edge_components(g, range(6))
-    assert comps == (frozenset({1, 2, 3, 4, 5}),)
-    assert untouched == frozenset()
+    assert component_roots(6, edge_pairs(g, range(6))) == [0, 1, 1, 1, 1, 1]
 
 
-def test_edge_components_rejects_unknown_edge():
-    with pytest.raises(ValueError):
-        edge_components(path_graph(3), [5])
+def test_union_reports_whether_it_joined():
+    uf = UnionFind(4)
+    assert uf.union(2, 1)
+    assert uf.union(3, 2)
+    assert not uf.union(1, 3)
+    assert not uf.union(0, 0)
+    assert [uf.find(v) for v in range(4)] == [0, 1, 1, 1]
+
+
+def bfs_least_members(size, pairs):
+    adjacency = [[] for _ in range(size)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    least = [-1] * size
+    for start in range(size):  # ascending, so start is its component's least member
+        if least[start] >= 0:
+            continue
+        least[start] = start
+        queue = [start]
+        for v in queue:
+            for w in adjacency[v]:
+                if least[w] < 0:
+                    least[w] = start
+                    queue.append(w)
+    return least
+
+
+def test_component_roots_match_bfs_reference():
+    rng = SplitMix64(41)
+    for _ in range(300):
+        size = rng.randint(1, 30)
+        pairs = [(rng.randint(0, size - 1), rng.randint(0, size - 1)) for _ in range(rng.randint(0, 40))]
+        pairs += pairs[: rng.randint(0, len(pairs))]  # repeats
+        pairs += [(v, v) for v in range(0, size, rng.randint(1, size))]  # loops
+        assert component_roots(size, pairs) == bfs_least_members(size, pairs)

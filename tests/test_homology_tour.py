@@ -7,10 +7,11 @@ from scpsolver.circulation import (
     circulation_cost,
     initial_circulation,
     min_cost_circulation,
+    support_connected,
 )
 from scpsolver.cli_io import solve
 from scpsolver.enumeration import enumerate_candidates
-from scpsolver.graph_core import BaseGraph, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import (
     KIND_EDGE,
     KIND_REQUEST,
@@ -80,6 +81,94 @@ def test_contract_untouched_vertices_stay_isolated():
     assert cg.vertices == (0, 1, 2)
     assert cg.terminals == frozenset({0})
     assert cg.vertex_map == {1: 0, 2: 0, 3: 1, 4: 2}
+
+
+class DictUnionFind:
+    """The dict-keyed union-find contract_support and support_connected once used."""
+
+    def __init__(self, items=()):
+        self.parent = {x: x for x in items}
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def reference_contract_support(instance, g):
+    graph = instance.base
+    uf = DictUnionFind(range(1, graph.vertex_count + 1))
+    touched = set()
+    for eid, e in enumerate(graph.edges):
+        if g.edge_flow[eid] != 0:
+            uf.union(e.u, e.v)
+            touched.update((e.u, e.v))
+    for aid, r in enumerate(instance.requests):
+        if g.arc_flow[aid] != 0:
+            uf.union(r.source, r.target)
+            touched.update((r.source, r.target))
+    classes = {}
+    for v in range(1, graph.vertex_count + 1):
+        classes.setdefault(uf.find(v), []).append(v)
+    ordered = sorted(classes.values(), key=min)
+    vertex_map = {v: q for q, members in enumerate(ordered) for v in members}
+    quotient_edges = []
+    for eid, e in enumerate(graph.edges):
+        if g.edge_flow[eid] != 0:
+            continue
+        qu, qv = vertex_map[e.u], vertex_map[e.v]
+        if qu != qv:
+            quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, eid))
+    terminals = frozenset(vertex_map[v] for v in touched)
+    return ContractedGraph(tuple(range(len(ordered))), tuple(quotient_edges), terminals, vertex_map)
+
+
+def reference_support_connected(instance, f):
+    uf = DictUnionFind()
+    touched = set()
+    pairs = [(e.u, e.v) for eid, e in enumerate(instance.base.edges) if f.edge_flow[eid] != 0]
+    pairs += [(r.source, r.target) for aid, r in enumerate(instance.requests) if f.arc_flow[aid] != 0]
+    for a, b in pairs:
+        uf.add(a)
+        uf.add(b)
+        uf.union(a, b)
+        touched.update((a, b))
+    return not touched or len({uf.find(v) for v in touched}) == 1
+
+
+def test_contraction_matches_dict_union_find_reference():
+    checked = split = 0
+    for seed in range(1, 41):
+        inst = random_instance(seed, 10, 4, 6, 20)
+        if not inst.requests:
+            continue
+        basis = basis_of(inst)
+        f = min_cost_circulation(inst, basis)
+        for g in enumerate_candidates(f, basis, cycle_rank(inst.base)):
+            mine, want = contract_support(inst, g), reference_contract_support(inst, g)
+            assert mine.vertices == want.vertices
+            assert mine.edges == want.edges
+            assert mine.terminals == want.terminals
+            assert mine.vertex_map == want.vertex_map
+            connected = support_connected(inst, g)
+            assert connected == reference_support_connected(inst, g)
+            checked += 1
+            split += not connected
+    assert checked > 1000 and split > 0, (checked, split)
 
 
 # --- steiner preprocessing ---
@@ -296,6 +385,33 @@ def test_steiner_weight_never_rises_with_an_extra_edge():
             g.vertices, g.terminals, g.edges + ((min(u, v), max(u, v), rng.randint(1, 12), (999,)),)
         )
         assert min_steiner_tree(widened, widened.terminals).weight <= base
+
+
+def test_steiner_on_sparse_vertex_ids_matches_oracle():
+    # a Steiner hub 3 and three terminals whose ids are not 0..n-1
+    g = ReducedGraph(
+        (3, 7, 40, 41),
+        frozenset({7, 40, 41}),
+        ((3, 7, 2, (0,)), (3, 40, 2, (1,)), (3, 41, 2, (2,)), (7, 40, 5, (3,)), (40, 41, 5, (4,))),
+    )
+    sol = min_steiner_tree(g, g.terminals)
+    assert sol == SteinerSolution(frozenset({0, 1, 2}), 6)
+    assert brute_force_steiner(g, g.terminals).cost == 6
+
+
+def test_steiner_ignores_vertex_numbering():
+    rng = SplitMix64(34)
+    for _ in range(60):
+        g = _random_reduced_graph(rng)
+        ids = {v: 3 + 5 * v + rng.randint(0, 4) for v in g.vertices}  # ascending, sparse
+        sparse = ReducedGraph(
+            tuple(ids[v] for v in g.vertices),
+            frozenset(ids[v] for v in g.terminals),
+            tuple((ids[u], ids[v], w, origin) for u, v, w, origin in g.edges),
+        )
+        sol = min_steiner_tree(sparse, sparse.terminals)
+        assert sol == min_steiner_tree(g, g.terminals)
+        assert sol.weight == brute_force_steiner(sparse, sparse.terminals).cost
 
 
 # --- repair, euler multigraph, tours ---

@@ -140,7 +140,7 @@ def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
     return Circulation(tuple(flows), tuple(r.demand for r in instance.requests))
 
 
-def min_cost_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
+def min_cost_circulation(instance: Instance) -> Circulation:
     """Cheapest feasible circulation; connectivity deliberately ignored.
 
     With arc flows pinned at the demands and edges uncapacitated, only edge
@@ -156,8 +156,7 @@ def min_cost_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
     so it costs O(rounds * m log n) in all, and all arithmetic is on
     integers.  Heap entries are (distance, vertex) and neighbours are
     scanned in ascending order, so ties, and with them the optimum
-    returned, are deterministic.  ``basis`` is unused: a transshipment
-    needs no starting routing.
+    returned, are deterministic.
     """
     graph = instance.base
     demands = tuple(r.demand for r in instance.requests)

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from time import perf_counter
 
 from .circulation import (
     Circulation,
@@ -65,6 +64,8 @@ class InstanceFormatError(ValueError):
 
 @dataclass
 class SolveReport:
+    """The optimal tour and the deterministic facts of its solve; no wall-clock time."""
+
     tour: Tour
     cost: Cost
     n: int
@@ -74,7 +75,6 @@ class SolveReport:
     k: int
     candidates_evaluated: int
     winning_lambda: LambdaVector
-    timings_ms: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -233,40 +233,26 @@ def solve(instance: Instance) -> SolveReport:
     topo = smooth_topology(graph)  # validates connectivity
     r, k = topo.cycle_rank, topo.branch_count
     if p == 0:
-        zeros = {"circulation": 0.0, "enumeration": 0.0, "class_tours": 0.0}
-        return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, (), zeros)
+        return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, ())
 
-    t0 = perf_counter()
     basis = fundamental_cycles(graph, spanning_tree(graph))
-    f = min_cost_circulation(instance, basis)
-    t1 = perf_counter()
+    f = min_cost_circulation(instance)
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
     count = 0
-    repair_time = 0.0
     for lam, g in zip(gray_code_lambdas(r, r), enumerate_candidates(f, basis, r)):
         count += 1
         base_cost = circulation_cost(instance, g)
         if best is not None and (base_cost > best[0] or (base_cost == best[0] and lam > best[1])):
             continue  # repair weight is nonnegative, candidate cannot win
-        tr = perf_counter()
         st = connectivity_repair(instance, g)
-        repair_time += perf_counter() - tr
         total = base_cost + st.weight
         if best is None or total < best[0] or (total == best[0] and lam < best[1]):
             best = (total, lam, g, st)
-    t2 = perf_counter()
     tour = euler_tour(build_euler_multigraph(instance, best[2], best[3]))
-    t3 = perf_counter()
     if tour.total != best[0]:
         raise RuntimeError("winning tour cost disagrees with candidate cost")
-
-    timings = {
-        "circulation": (t1 - t0) * 1000.0,
-        "enumeration": (t2 - t1 - repair_time) * 1000.0,
-        "class_tours": (repair_time + t3 - t2) * 1000.0,
-    }
-    return SolveReport(tour, best[0], n, m, p, r, k, count, best[1], timings)
+    return SolveReport(tour, best[0], n, m, p, r, k, count, best[1])
 
 
 def _step_pieces(tour: Tour, render, end: str) -> list[str]:
@@ -294,10 +280,11 @@ def _text_step(kind: str, source: int, target: int, ref: int) -> str:
 
 
 def emit_report(report: SolveReport, fmt: str = "text") -> str:
-    """Render a report; JSON output is canonical and byte-stable.
+    """Render a report; both forms are byte-stable, and JSON is canonical.
 
-    Wall-clock timings never reach the JSON form (they would break
-    reproducibility); the text form shows them.
+    Neither form carries wall-clock time.  JSON keeps an empty
+    ``"timings_ms":{}`` so its bytes match earlier reports; per-layer times
+    come from ``perfbench/run.py --trace 1``.
     """
     if fmt == "json":
         payload = {
@@ -322,12 +309,7 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
         f"lambda {list(report.winning_lambda)}",
         "steps:",
     ]
-    t = report.timings_ms
-    timings = (
-        "timings_ms circulation=%.2f enumeration=%.2f class_tours=%.2f\n"
-        % (t["circulation"], t["enumeration"], t["class_tours"])
-    )
-    return "".join(("\n".join(lines), "\n", *_step_pieces(report.tour, _text_step, "\n"), timings))
+    return "".join(("\n".join(lines), "\n", *_step_pieces(report.tour, _text_step, "\n")))
 
 
 def parse_report(text: str) -> tuple[Cost, Tour]:
@@ -376,8 +358,7 @@ def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
         r = cycle_rank(graph)
         report = solve(inst)
         oracle = brute_force_tour(inst)
-        basis = fundamental_cycles(graph, spanning_tree(graph))
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
 
         record("solve_matches_oracle", report.cost == oracle.cost, s)
 
@@ -431,7 +412,7 @@ def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
     return AcceptanceSummary(count, results)
 
 
-# --- benchmark families ---
+# --- graph families (tests and golden corpus) ---
 
 
 def _family_instance(family: str, size: int, seed: int) -> Instance:
@@ -510,11 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     p_gen.add_argument("--p", type=int, default=3, help="max request draws")
     p_gen.add_argument("--cost-max", type=int, default=10)
 
-    p_bench = sub.add_parser("bench", help="time the solver on a graph family")
-    p_bench.add_argument("--family", required=True, choices=["path", "cycle", "theta", "grid-aisle"])
-    p_bench.add_argument("--sizes", required=True, type=int, nargs="+")
-    p_bench.add_argument("--seed", type=int, default=1)
-
     p_accept = sub.add_parser("accept", help="run the randomized acceptance properties")
     p_accept.add_argument("--seed", type=int, default=1)
     p_accept.add_argument("--count", type=int, default=500)
@@ -575,20 +551,10 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(format_instance(instance, comments))
             return OK
 
-        if args.command == "bench":
-            print("family size n m r k p candidates cost ms")
-            for size in args.sizes:
-                instance = _family_instance(args.family, size, args.seed)
-                start = perf_counter()
-                report = solve(instance)
-                ms = (perf_counter() - start) * 1000.0
-                print(
-                    f"{args.family} {size} {report.n} {report.m} {report.r} {report.k} "
-                    f"{report.p} {report.candidates_evaluated} {report.cost} {ms:.1f}"
-                )
-            return OK
-
         if args.command == "accept":
+            if args.count < 1:
+                print("malformed input: accept needs --count >= 1", file=sys.stderr)
+                return BAD_INPUT
             summary = run_acceptance(args.seed, args.count)
             for name, outcome in summary.results.items():
                 status = "PASS" if outcome.failed == 0 else "FAIL"

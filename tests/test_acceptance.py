@@ -1,101 +1,64 @@
 """Acceptance suite: every headline guarantee, checked against oracles.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one verdict line
-per criterion.  The shared corpus is 500 seeded random instances small
-enough for the brute-force tour oracle.
+per criterion.  The shared corpus is ``run_acceptance`` over 500 seeded
+random instances small enough for the brute-force tour oracle; criteria 1,
+2 and 6 read its verdicts.
 """
 
 import itertools
 import json
-from dataclasses import dataclass
 from time import perf_counter
 
 import pytest
 
-from scpsolver.circulation import (
-    Circulation,
-    Instance,
-    circulation_cost,
-    decompose,
-    is_elementary,
-    min_cost_circulation,
-    support_connected,
-    zero_circulation,
-)
-from scpsolver.cli_io import _family_instance, emit_report, format_instance, main, solve
+from scpsolver.circulation import Circulation, decompose, is_elementary, zero_circulation
+from scpsolver.cli_io import _family_instance, emit_report, format_instance, main, run_acceptance, solve
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
 from scpsolver.graph_core import cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import ReducedGraph, min_steiner_tree
 from scpsolver.oracle import (
     SplitMix64,
-    OracleResult,
     brute_force_steiner,
     brute_force_tour,
     make_tight_instance,
     random_instance,
-    verify_tour,
 )
 
 CORPUS_SEED = 20260814
 CORPUS_SIZE = 500
 
 
-@dataclass(frozen=True)
-class Row:
-    seed: int
-    instance: Instance
-    report: object
-    oracle: OracleResult
-    f: Circulation
-    rank: int
-
-
 @pytest.fixture(scope="module")
 def corpus():
-    rng = SplitMix64(CORPUS_SEED)
-    rows = []
     start = perf_counter()
-    for _ in range(CORPUS_SIZE):
-        s = rng.next64()
-        inst = random_instance(s, 10, 4, 6, 20)
-        report = solve(inst)
-        oracle = brute_force_tour(inst)
-        basis = fundamental_cycles(inst.base, spanning_tree(inst.base))
-        f = min_cost_circulation(inst, basis)
-        rows.append(Row(s, inst, report, oracle, f, cycle_rank(inst.base)))
-    elapsed = perf_counter() - start
-    return rows, elapsed
+    summary = run_acceptance(CORPUS_SEED, CORPUS_SIZE)
+    return summary, perf_counter() - start
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'}")
 
 
+def _failing_seeds(num: int, name: str, summary, prop: str) -> tuple[int, ...]:
+    seeds = summary.results[prop].failing_seeds
+    _verdict(num, name, not seeds)
+    if seeds:
+        print(f"  failing seeds: {' '.join(map(str, seeds))}")
+    return seeds
+
+
 def test_criterion_1_solver_matches_oracle_under_time_budget(corpus):
-    rows, elapsed = corpus
-    mismatches = [row.seed for row in rows if row.report.cost != row.oracle.cost]
-    ok = not mismatches and elapsed < 60.0
-    _verdict(1, f"500 instances, {elapsed:.1f}s", ok)
-    assert mismatches == []
+    summary, elapsed = corpus
+    mismatches = _failing_seeds(1, f"{summary.count} instances, {elapsed:.1f}s", summary, "solve_matches_oracle")
+    assert mismatches == ()
+    assert summary.count == CORPUS_SIZE
     assert elapsed < 60.0
 
 
 def test_criterion_2_optimal_class_stays_near_relaxation(corpus):
-    rows, _ = corpus
-    violations = []
-    for row in rows:
-        if not row.instance.requests:
-            continue
-        optimal = verify_tour(row.instance, row.oracle.witness).circulation
-        diff = Circulation(
-            tuple(a - b for a, b in zip(optimal.edge_flow, row.f.edge_flow)),
-            (0,) * len(row.instance.requests),
-        )
-        linf = max((abs(x) for x in diff.edge_flow), default=0)
-        if not is_elementary(row.instance.base, diff) or linf > row.rank:
-            violations.append(row.seed)
-    _verdict(2, "proximity", not violations)
-    assert violations == []
+    summary, _ = corpus
+    assert _failing_seeds(2, "proximity", summary, "proximity") == ()
 
 
 def _forced_tree_flows(instance, tree, nontree_flows):
@@ -195,26 +158,8 @@ def test_criterion_5_proximity_bound_is_tight():
 
 
 def test_criterion_6_relaxation_bound(corpus):
-    rows, _ = corpus
-    failures = []
-    for row in rows:
-        if not row.instance.requests:
-            continue
-        fc = circulation_cost(row.instance, row.f)
-        ok = fc <= row.oracle.cost
-        if support_connected(row.instance, row.f):
-            ok = ok and fc == row.oracle.cost
-        if fc == row.oracle.cost:
-            optimal = verify_tour(row.instance, row.oracle.witness).circulation
-            ok = (
-                ok
-                and circulation_cost(row.instance, optimal) == fc
-                and support_connected(row.instance, optimal)
-            )
-        if not ok:
-            failures.append(row.seed)
-    _verdict(6, "relaxation bound", not failures)
-    assert failures == []
+    summary, _ = corpus
+    assert _failing_seeds(6, "relaxation bound", summary, "relaxation") == ()
 
 
 def test_criterion_7_path_and_cycle_families():
@@ -264,20 +209,22 @@ def test_criterion_8_steiner_repair_is_exact():
     assert failures == 0
 
 
-def test_criterion_9_reports_are_byte_identical(corpus, tmp_path, capsys):
-    rows, _ = corpus
+def test_criterion_9_reports_are_byte_identical(tmp_path, capsys):
+    rng = SplitMix64(CORPUS_SEED)
+    seeds = [rng.next64() for _ in range(20)]
+    instances = [random_instance(s, 10, 4, 6, 20) for s in seeds]
     ok = True
-    for row in rows[:20]:
-        a = emit_report(solve(row.instance), "json")
-        b = emit_report(solve(row.instance), "json")
+    for s, inst in zip(seeds, instances):
+        a = emit_report(solve(inst), "json")
+        b = emit_report(solve(inst), "json")
         ok = ok and a == b
-        ok = ok and random_instance(row.seed, 10, 4, 6, 20) == row.instance
+        ok = ok and random_instance(s, 10, 4, 6, 20) == inst
     sample = tmp_path / "sample.scp"
-    sample.write_text(format_instance(rows[0].instance), encoding="utf-8")
+    sample.write_text(format_instance(instances[0]), encoding="utf-8")
     assert main(["solve", str(sample), "--json"]) == 0
     first = capsys.readouterr().out
     assert main(["solve", str(sample), "--json"]) == 0
     ok = ok and capsys.readouterr().out == first
-    ok = ok and json.loads(first)["cost"] == rows[0].report.cost
+    ok = ok and json.loads(first)["cost"] == solve(instances[0]).cost
     _verdict(9, "byte-stable reports", ok)
     assert ok

@@ -177,7 +177,7 @@ def test_lollipop_deeper_than_the_recursion_limit():
 def test_min_cost_single_edge():
     g = BaseGraph.from_edges(2, [(1, 2, 10)])
     inst = Instance(g, (Request(1, 2, 3),))
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     assert f.edge_flow == (-1,)
     assert circulation_cost(inst, f) == 13
 
@@ -186,21 +186,21 @@ def test_min_cost_detours_around_expensive_direct_edge():
     # cheap two-hop return beats the direct cost-10 edge
     g = BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1), (1, 3, 10)])
     inst = Instance(g, (Request(1, 3, 2),))
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     assert f.edge_flow == (-1, -1, 0)
     assert circulation_cost(inst, f) == 4
 
 
 def test_min_cost_edgeless_graph():
     inst = Instance(BaseGraph(1, ()), ())
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     assert f == Circulation((), ())
 
 
 def test_min_cost_triangle_frozen():
     inst = triangle_instance()
     basis = basis_of(inst)
-    f = min_cost_circulation(inst, basis)
+    f = min_cost_circulation(inst)
     assert f.edge_flow == (-1, -1, 0)
     assert circulation_cost(inst, f) == 4
     assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
@@ -209,7 +209,7 @@ def test_min_cost_triangle_frozen():
 def test_min_cost_square_frozen():
     inst = square_instance()
     basis = basis_of(inst)
-    f = min_cost_circulation(inst, basis)
+    f = min_cost_circulation(inst)
     # one of two cost-4 optima; (0, 1, 0, -1) is the other
     assert f.edge_flow == (-1, 0, -1, 0)
     assert circulation_cost(inst, f) == 4
@@ -220,7 +220,7 @@ def test_min_cost_reroutes_around_expensive_edge():
     # tree path goes over the cost-50 edge; the optimum circles the other way
     g = BaseGraph.from_edges(4, [(1, 2, 50), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1),))
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     assert f.edge_flow == (0, 1, 1, -1)
     assert circulation_cost(inst, f) == 4
 
@@ -229,7 +229,7 @@ def test_min_cost_keeps_arc_flows_pinned():
     rng = SplitMix64(12)
     for _ in range(40):
         inst = random_instance(rng.next64(), 9, 4, 6, 15)
-        f = min_cost_circulation(inst, basis_of(inst))
+        f = min_cost_circulation(inst)
         assert is_feasible(inst, f)
 
 
@@ -238,7 +238,7 @@ def test_min_cost_matches_oracle():
     for _ in range(80):
         inst = random_instance(rng.next64(), 8, 3, 5, 12)
         basis = basis_of(inst)
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
         assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
 
 
@@ -246,7 +246,7 @@ def test_min_cost_is_lower_bound_for_tours():
     rng = SplitMix64(14)
     for _ in range(40):
         inst = random_instance(rng.next64(), 8, 3, 5, 12)
-        f = min_cost_circulation(inst, basis_of(inst))
+        f = min_cost_circulation(inst)
         assert circulation_cost(inst, f) <= brute_force_tour(inst).cost
 
 
@@ -255,7 +255,7 @@ def test_min_cost_not_improved_by_basis_steps():
     for _ in range(30):
         inst = random_instance(rng.next64(), 8, 3, 5, 12)
         basis = basis_of(inst)
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
         base = circulation_cost(inst, f)
         for cycle in basis.cycles:
             for lam in (-2, -1, 1, 2):
@@ -285,7 +285,7 @@ def test_min_cost_leaves_no_negative_residual_cycle():
     rng = SplitMix64(16)
     for _ in range(40):
         inst = random_instance(rng.next64(), 9, 4, 6, 15)
-        f = min_cost_circulation(inst, basis_of(inst))
+        f = min_cost_circulation(inst)
         assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
 
 
@@ -299,7 +299,7 @@ def test_min_cost_matches_oracle_at_large_demand():
     for size in range(16, 41, 2):
         inst = with_large_demands(_family_instance("cycle", size, rng.next64()), rng)
         basis = basis_of(inst)
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
         assert is_feasible(inst, f)
         assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
 
@@ -311,11 +311,10 @@ def test_min_cost_is_optimal_and_deterministic_at_large_demand():
         inst = random_instance(rng.next64(), 12, 4, 6, 15)
         instances.append(with_large_demands(inst, rng))
     for inst in instances:
-        basis = basis_of(inst)
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
         assert is_feasible(inst, f)
         assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
-        assert min_cost_circulation(inst, basis) == f
+        assert min_cost_circulation(inst) == f
 
 
 # --- decomposition ---

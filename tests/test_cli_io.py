@@ -8,7 +8,8 @@ from json.encoder import encode_basestring_ascii
 import pytest
 
 import scpsolver
-from scpsolver.circulation import Instance, Request
+from scpsolver import cli_io
+from scpsolver.circulation import Circulation, Instance, Request
 from scpsolver.cli_io import (
     BAD_INPUT,
     FAIL,
@@ -23,7 +24,7 @@ from scpsolver.cli_io import (
     run_acceptance,
     solve,
 )
-from scpsolver.graph_core import BaseGraph, cycle_rank
+from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import Tour
 from scpsolver.oracle import brute_force_tour, random_instance, verify_tour
 
@@ -204,11 +205,18 @@ def test_json_report_trivial_instance_golden():
     )
 
 
-def test_text_report_shows_cost_and_timings():
-    out = emit_report(solve(parse_instance(RING_TEXT)), "text")
+def test_text_report_shows_cost_and_no_timings():
+    report = solve(parse_instance(RING_TEXT))
+    out = emit_report(report, "text")
     assert "cost 4" in out
     assert "candidates 3" in out
-    assert "timings_ms" in out
+    assert "timings" not in out
+    assert step_lines(out) == reference_step_lines(report)  # nothing follows the last step
+
+
+def test_text_report_is_byte_stable():
+    for inst in [parse_instance(RING_TEXT)] + [random_instance(seed, 10, 4, 6, 20) for seed in range(10)]:
+        assert emit_report(solve(inst), "text") == emit_report(solve(inst), "text")
 
 
 @pytest.fixture(scope="module")
@@ -238,8 +246,7 @@ def reference_json_steps(report):
 
 def step_lines(text):
     lines = text.splitlines()
-    assert lines[-1].startswith("timings_ms ")
-    return lines[lines.index("steps:") + 1 : -1]
+    return lines[lines.index("steps:") + 1 :]
 
 
 def json_steps(text):
@@ -341,7 +348,44 @@ def test_run_acceptance_passes_and_is_deterministic():
     assert all(o.passed == 12 for o in a.results.values())
 
 
-# --- benchmark families ---
+def test_run_acceptance_flags_a_relaxation_off_its_optimum(monkeypatch):
+    """The shifted relaxation is a feasible circulation, but neither optimal nor near the optimum."""
+    relax = cli_io.min_cost_circulation
+
+    def shifted(instance):
+        f = relax(instance)
+        basis = fundamental_cycles(instance.base, spanning_tree(instance.base))
+        if not basis.cycles:
+            return f
+        flows = list(f.edge_flow)
+        for eid, sign in basis.cycles[0].items():
+            flows[eid] += 2 * sign
+        return Circulation(tuple(flows), f.arc_flow)
+
+    monkeypatch.setattr(cli_io, "min_cost_circulation", shifted)
+    summary = run_acceptance(seed=5, count=40)
+    assert not summary.ok
+    for name in ("proximity", "relaxation"):
+        outcome = summary.results[name]
+        assert outcome.failed > 0
+        assert outcome.passed + outcome.failed == 40
+        assert len(outcome.failing_seeds) == outcome.failed
+
+
+def test_run_acceptance_flags_a_wrong_solver_cost(monkeypatch):
+    honest = cli_io.solve
+
+    def off_by_one(instance):
+        report = honest(instance)
+        return dataclasses.replace(report, cost=report.cost + 1)
+
+    monkeypatch.setattr(cli_io, "solve", off_by_one)
+    summary = run_acceptance(seed=5, count=12)
+    assert not summary.ok
+    assert summary.results["solve_matches_oracle"].failed == 12
+
+
+# --- graph families ---
 
 
 def test_family_shapes():
@@ -389,6 +433,13 @@ def test_cli_solve_text(ring_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("n=4 m=4 p=1 r=1 k=0")
     assert "cost 4" in out
+
+
+def test_cli_solve_text_is_byte_stable(ring_file, capsys):
+    assert main(["solve", ring_file]) == OK
+    first = capsys.readouterr().out
+    assert main(["solve", ring_file]) == OK
+    assert capsys.readouterr().out == first
 
 
 def test_cli_solve_json_is_byte_stable(ring_file, capsys):
@@ -545,11 +596,11 @@ def test_cli_refuses_files_that_are_not_utf8(ring_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot read input: not UTF-8:")
 
 
-def test_cli_bench_runs(capsys):
-    assert main(["bench", "--family", "cycle", "--sizes", "4", "6"]) == OK
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("family size")
-    assert len(lines) == 3
+def test_cli_has_no_bench_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "path", "--sizes", "4"])
+    assert exc.value.code == BAD_INPUT
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_accept_small_run(capsys):
@@ -557,3 +608,11 @@ def test_cli_accept_small_run(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "solve_matches_oracle" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_accept_rejects_count_below_one(count, capsys):
+    assert main(["accept", "--count", count]) == BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "malformed input: accept needs --count >= 1\n"

@@ -157,7 +157,7 @@ def test_contraction_matches_dict_union_find_reference():
         if not inst.requests:
             continue
         basis = basis_of(inst)
-        f = min_cost_circulation(inst, basis)
+        f = min_cost_circulation(inst)
         for g in enumerate_candidates(f, basis, cycle_rank(inst.base)):
             mine, want = contract_support(inst, g), reference_contract_support(inst, g)
             assert mine.vertices == want.vertices
@@ -496,7 +496,7 @@ def test_tour_in_class_split_path_frozen():
 def test_tour_in_class_unit_path_pays_double_bridge():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     tour = tour_in_class(inst, f)
     # circulation pays 4, the v2v3 bridge is crossed once each way
     assert tour.total == circulation_cost(inst, f) + 2 == 6
@@ -505,7 +505,7 @@ def test_tour_in_class_unit_path_pays_double_bridge():
 def test_tour_in_class_connected_class_costs_its_circulation():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
     inst = Instance(g, (Request(1, 3, 2),))
-    f = min_cost_circulation(inst, basis_of(inst))
+    f = min_cost_circulation(inst)
     tour = tour_in_class(inst, f)
     assert tour.total == circulation_cost(inst, f) == 4
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from .graph_core import BaseGraph, Cost, CycleBasis, component_roots, rooted_tree
 
@@ -54,9 +55,14 @@ class Instance:
         return tuple(r.cost for r in self.requests)
 
 
-@dataclass(frozen=True)
-class Circulation:
-    """Edge and arc flows, indexed by edge_id and arc_id (request position)."""
+class Circulation(NamedTuple):
+    """Edge and arc flows, indexed by edge_id and arc_id (request position).
+
+    An immutable value that compares and hashes by its two flow tuples.  It
+    is a named tuple, not a dataclass, because the sweep builds one per box
+    point: ``tuple.__new__(Circulation, (edge_flow, arc_flow))`` runs no
+    Python-level constructor.
+    """
 
     edge_flow: tuple[int, ...]
     arc_flow: tuple[int, ...]

@@ -27,13 +27,14 @@ from .circulation import (
     min_cost_circulation,
     support_connected,
 )
+# solve no longer calls gray_code_lambdas, but perfbench/tracing.py patches
+# cli_io.gray_code_lambdas by name, so it stays importable from here
 from .enumeration import LambdaVector, enumerate_candidates, gray_code_lambdas
 from .graph_core import (
     BaseGraph,
     Cost,
     cycle_rank,
     fundamental_cycles,
-    is_connected,
     shortest_path,
     smooth_topology,
     spanning_tree,
@@ -208,7 +209,7 @@ def parse_instance(text: str) -> Instance:
         # refused before the adjacency of a huge vertex count is built
         raise InstanceFormatError(0, "not-connected", f"{len(triples)} edges cannot connect {n} vertices")
     graph = BaseGraph.from_edges(n, triples)
-    if not is_connected(graph):
+    if not graph.connected:
         raise InstanceFormatError(0, "not-connected", "graph is not connected")
     requests = tuple(Request(s, t, cost, demand) for (s, t), (cost, demand) in merged.items())
     return Instance(graph, requests)
@@ -227,7 +228,18 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
 
 
 def solve(instance: Instance) -> SolveReport:
-    """Exact minimum-cost tour serving every request its demanded number of times."""
+    """Exact minimum-cost tour serving every request its demanded number of times.
+
+    Sweeps g = f + sum(lambda_i * C_i) over the box [-r, r]^r around the
+    relaxation f and keeps the cheapest base cost plus repair weight.  Ties
+    go to the lexicographically smallest lambda, whatever the order of the
+    sweep: a point is skipped only when its total cannot beat the incumbent,
+    or can only tie it with a larger lambda, because repair weights are
+    nonnegative.  lambda is read off g, not carried through the sweep: C_i
+    is +1 on its own non-tree edge and 0 on every other non-tree edge, so
+    lambda_i = g.edge_flow[nt_i] - f.edge_flow[nt_i].  It is rebuilt only
+    for points whose base cost is at most the incumbent's total.
+    """
     graph = instance.base
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
     topo = smooth_topology(graph)  # validates connectivity
@@ -237,14 +249,16 @@ def solve(instance: Instance) -> SolveReport:
 
     basis = fundamental_cycles(graph, spanning_tree(graph))
     f = min_cost_circulation(instance)
+    f_non_tree = [(eid, f.edge_flow[eid]) for eid in basis.non_tree_edges]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
-    count = 0
-    for lam, g in zip(gray_code_lambdas(r, r), enumerate_candidates(f, basis, r)):
-        count += 1
+    for g in enumerate_candidates(f, basis, r):
         base_cost = circulation_cost(instance, g)
-        if best is not None and (base_cost > best[0] or (base_cost == best[0] and lam > best[1])):
+        if best is not None and base_cost > best[0]:
             continue  # repair weight is nonnegative, candidate cannot win
+        lam = tuple(g.edge_flow[eid] - value for eid, value in f_non_tree)
+        if best is not None and base_cost == best[0] and lam > best[1]:
+            continue
         st = connectivity_repair(instance, g)
         total = base_cost + st.weight
         if best is None or total < best[0] or (total == best[0] and lam < best[1]):
@@ -252,7 +266,7 @@ def solve(instance: Instance) -> SolveReport:
     tour = euler_tour(build_euler_multigraph(instance, best[2], best[3]))
     if tour.total != best[0]:
         raise RuntimeError("winning tour cost disagrees with candidate cost")
-    return SolveReport(tour, best[0], n, m, p, r, k, count, best[1])
+    return SolveReport(tour, best[0], n, m, p, r, k, (2 * r + 1) ** r, best[1])
 
 
 def _step_pieces(tour: Tour, render, end: str) -> list[str]:

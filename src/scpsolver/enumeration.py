@@ -4,7 +4,16 @@ Candidate homology classes are f plus small integer combinations of the
 fundamental cycles.  Walking coefficient vectors in reflected mixed-radix
 Gray order changes one coefficient by one per step, so each candidate is the
 previous one plus or minus one fundamental cycle: O(|C_i|) additions, then an
-O(m) copy of the edge flows into the yielded ``Circulation``.
+O(m) copy of the edge flows into the yielded ``Circulation``, a named tuple
+built without running any Python-level constructor.  The walk yields no coefficient
+vector alongside: each cycle is +1 on its own non-tree edge and 0 on every
+other, so a caller that needs lambda reads it off the candidate's non-tree
+flows (see ``cli_io.solve``).
+
+Every box point is still yielded, and its caller still prices each one with
+``circulation_cost`` (O(m + p)); together these are nearly all of a large
+sweep.  A sweep that skips points needs the benchmark's tracing contract,
+one yielded candidate and one cost call per box point, to be redefined first.
 """
 
 from __future__ import annotations
@@ -76,13 +85,20 @@ def enumerate_candidates(f: Circulation, basis: CycleBasis, k: int) -> Iterator[
     for cycle in basis.cycles:
         for eid, val in cycle.items():
             working[eid] -= k * val
-    yield Circulation(tuple(working), arc_flow)
+    new = tuple.__new__  # Circulation(...) without the named tuple's __new__ wrapper
+    yield new(Circulation, (tuple(working), arc_flow))
     # step (i, d) adds d * C_i: the (edge id, signed value) pairs to apply
     moves = {}
     for i, cycle in enumerate(basis.cycles):
         moves[i, 1] = tuple(cycle.items())
         moves[i, -1] = tuple((eid, -val) for eid, val in cycle.items())
-    for step in _gray_steps(r, k):
-        for eid, val in moves[step]:
+    # _gray_steps yields one tuple object per run of equal steps, so the
+    # pairs are looked up once per run, not once per step
+    step = pairs = None
+    for next_step in _gray_steps(r, k):
+        if next_step is not step:
+            step = next_step
+            pairs = moves[step]
+        for eid, val in pairs:
             working[eid] += val
-        yield Circulation(tuple(working), arc_flow)
+        yield new(Circulation, (tuple(working), arc_flow))

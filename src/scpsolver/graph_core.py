@@ -117,6 +117,15 @@ class BaseGraph:
         return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
     @cached_property
+    def connected(self) -> bool:
+        """True when every vertex is reachable from vertex 1.
+
+        Cached, so the parser's check and ``cycle_rank``'s share one pass.
+        """
+        roots = component_roots(self.vertex_count + 1, ((e.u, e.v) for e in self.edges))
+        return roots.count(1) == self.vertex_count
+
+    @cached_property
     def edge_costs(self) -> tuple[Cost, ...]:
         """Edge costs indexed by edge_id."""
         return tuple(e.cost for e in self.edges)
@@ -156,14 +165,9 @@ class TopologyReport:
     core_multigraph: Multigraph
 
 
-def is_connected(graph: BaseGraph) -> bool:
-    roots = component_roots(graph.vertex_count + 1, ((e.u, e.v) for e in graph.edges))
-    return roots.count(1) == graph.vertex_count
-
-
 def cycle_rank(graph: BaseGraph) -> int:
     """m - n + 1 for a connected graph."""
-    if not is_connected(graph):
+    if not graph.connected:
         raise ValueError("graph not connected")
     return len(graph.edges) - graph.vertex_count + 1
 

@@ -71,6 +71,21 @@ def test_instance_allows_opposite_directions():
     assert len(inst.requests) == 2
 
 
+# --- circulation values ---
+
+
+def test_circulation_is_an_immutable_value():
+    a = Circulation((1, -1, 0), (2,))
+    b = Circulation(tuple([1, -1, 0]), (2,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Circulation((1, -1, 0), (1,))
+    assert (a.edge_flow, a.arc_flow) == ((1, -1, 0), (2,))
+    with pytest.raises(AttributeError):
+        a.edge_flow = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
 # --- cost and feasibility ---
 
 

@@ -8,8 +8,8 @@ from json.encoder import encode_basestring_ascii
 import pytest
 
 import scpsolver
-from scpsolver import cli_io
-from scpsolver.circulation import Circulation, Instance, Request
+from scpsolver import cli_io, graph_core
+from scpsolver.circulation import Circulation, Instance, Request, circulation_cost, min_cost_circulation
 from scpsolver.cli_io import (
     BAD_INPUT,
     FAIL,
@@ -24,9 +24,10 @@ from scpsolver.cli_io import (
     run_acceptance,
     solve,
 )
+from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
 from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
-from scpsolver.homology_tour import Tour
-from scpsolver.oracle import brute_force_tour, random_instance, verify_tour
+from scpsolver.homology_tour import Tour, connectivity_repair
+from scpsolver.oracle import SplitMix64, brute_force_tour, random_instance, verify_tour
 
 RING_TEXT = """\
 scp 1
@@ -179,6 +180,85 @@ def test_solve_matches_oracle_on_the_samples():
     for text in (RING_TEXT, PATH_TEXT):
         inst = parse_instance(text)
         assert solve(inst).cost == brute_force_tour(inst).cost
+
+
+def reference_sweep(instance):
+    """solve's sweep as a plain loop: every lambda vector zipped against its
+    candidate, every box point counted.
+
+    Returns (cost, winning_lambda, candidates_evaluated).
+    """
+    if not instance.requests:
+        return 0, (), 0
+    graph = instance.base
+    r = cycle_rank(graph)
+    basis = fundamental_cycles(graph, spanning_tree(graph))
+    f = min_cost_circulation(instance)
+    best = None
+    count = 0
+    for lam, g in zip(gray_code_lambdas(r, r), enumerate_candidates(f, basis, r)):
+        count += 1
+        base_cost = circulation_cost(instance, g)
+        if best is not None and (base_cost > best[0] or (base_cost == best[0] and lam > best[1])):
+            continue
+        total = base_cost + connectivity_repair(instance, g).weight
+        if best is None or total < best[0] or (total == best[0] and lam < best[1]):
+            best = (total, lam)
+    return best[0], best[1], count
+
+
+def sweep_cases():
+    rng = SplitMix64(11)
+    for _ in range(500):
+        yield random_instance(rng.next64(), 10, 4, 6, 20)
+    for size in (3, 4, 5):
+        yield _family_instance("grid-aisle", size, 1)
+
+
+def test_solve_matches_the_reference_sweep():
+    ranks = set()
+    for instance in sweep_cases():
+        report = solve(instance)
+        assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
+        ranks.add(report.r)
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_solve_breaks_total_cost_ties_on_the_smallest_lambda():
+    # a draw where two lambda tie on the minimum base cost and on the total,
+    # and Gray order meets the larger one first
+    instance = random_instance(8959837491476124066, 10, 4, 6, 20)
+    graph = instance.base
+    r = cycle_rank(graph)
+    f = min_cost_circulation(instance)
+    candidates = enumerate_candidates(f, fundamental_cycles(graph, spanning_tree(graph)), r)
+    base = {lam: (circulation_cost(instance, g), g) for lam, g in zip(gray_code_lambdas(r, r), candidates)}
+    cheapest = min(c for c, _ in base.values())
+    tied = [lam for lam, (c, g) in base.items() if c == cheapest and connectivity_repair(instance, g).weight == 0]
+    assert len(tied) >= 2 and tied[0] != min(tied)
+    report = solve(instance)
+    assert report.cost == cheapest and report.winning_lambda == min(tied)
+    assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
+
+
+def test_parse_then_solve_checks_connectivity_once(monkeypatch):
+    passes = []
+    real = graph_core.component_roots
+
+    def counted(size, pairs):
+        passes.append(size)
+        return real(size, pairs)
+
+    monkeypatch.setattr(graph_core, "component_roots", counted)
+    instance = _family_instance("theta", 12, 1)
+    solve(parse_instance(format_instance(instance)))
+    assert passes == [instance.base.vertex_count + 1]
+
+
+def test_solve_refuses_a_disconnected_graph():
+    graph = BaseGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
+    with pytest.raises(ValueError, match="not connected"):
+        solve(Instance(graph, (Request(1, 2, 1),)))
 
 
 # --- reports ---

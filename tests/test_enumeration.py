@@ -136,7 +136,9 @@ def test_candidates_match_from_scratch_evaluation():
             cands = list(enumerate_candidates(f, basis, k))
             assert len(cands) == len(lams) == (2 * k + 1) ** r
             for lam, got in zip(lams, cands):
-                assert got == _apply(f, basis, lam)
+                want = _apply(f, basis, lam)
+                assert type(got) is Circulation
+                assert (got.edge_flow, got.arc_flow) == (want.edge_flow, want.arc_flow)
     assert ranks == {0, 1, 2, 3, 4}
 
 

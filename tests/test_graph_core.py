@@ -6,7 +6,6 @@ from scpsolver.graph_core import (
     component_roots,
     cycle_rank,
     fundamental_cycles,
-    is_connected,
     shortest_path,
     smooth_topology,
     spanning_tree,
@@ -71,14 +70,14 @@ def test_cycle_rank_theta_is_two():
 
 def test_cycle_rank_disconnected_raises():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (3, 4, 1)])
-    assert not is_connected(g)
+    assert not g.connected
     with pytest.raises(ValueError):
         cycle_rank(g)
 
 
 def test_single_vertex_graph_is_connected():
     g = BaseGraph(1, ())
-    assert is_connected(g)
+    assert g.connected
     assert cycle_rank(g) == 0
 
 

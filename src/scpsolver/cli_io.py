@@ -1,7 +1,8 @@
 """Instance text format, JSON reports, the solve pipeline, and the CLI.
 
-Pipeline: min-cost circulation, Gray-code sweep of the nearby homology
-classes, cheapest class tour per candidate, minimum wins.  Ties go to the
+Pipeline: min-cost circulation, segment graph, Gray-code sweep of the
+nearby homology classes on the segments, cheapest class repair per
+candidate, minimum wins and is expanded to a base tour.  Ties go to the
 lexicographically smallest coefficient vector, so output is reproducible
 byte for byte.
 """
@@ -25,16 +26,19 @@ from .circulation import (
     decompose,
     is_elementary,
     min_cost_circulation,
+    segment_instance,
     support_connected,
 )
-# solve no longer calls gray_code_lambdas, but perfbench/tracing.py patches
-# cli_io.gray_code_lambdas by name, so it stays importable from here
+# solve does not call gray_code_lambdas (run_acceptance counts its box with
+# it), but perfbench/tracing.py patches it in cli_io by name, so it stays
+# importable from here
 from .enumeration import LambdaVector, enumerate_candidates, gray_code_lambdas
 from .graph_core import (
     BaseGraph,
     Cost,
     cycle_rank,
     fundamental_cycles,
+    segment_basis,
     shortest_path,
     smooth_topology,
     spanning_tree,
@@ -227,46 +231,80 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+# solve sweeps the segment graph only when it has at most this share of the
+# base edges.  With more segments, building it and repairing the winner once
+# more on the base graph cost more than the smaller sweep saves (corpus-sized
+# graphs); both sweeps give the same report.
+SEGMENT_SHARE = 0.5
+
+
 def solve(instance: Instance) -> SolveReport:
     """Exact minimum-cost tour serving every request its demanded number of times.
 
     Sweeps g = f + sum(lambda_i * C_i) over the box [-r, r]^r around the
-    relaxation f and keeps the cheapest base cost plus repair weight.  Ties
-    go to the lexicographically smallest lambda, whatever the order of the
-    sweep: a point is skipped only when its total cannot beat the incumbent,
-    or can only tie it with a larger lambda, because repair weights are
-    nonnegative.  lambda is read off g, not carried through the sweep: C_i
-    is +1 on its own non-tree edge and 0 on every other non-tree edge, so
-    lambda_i = g.edge_flow[nt_i] - f.edge_flow[nt_i].  It is rebuilt only
-    for points whose base cost is at most the incumbent's total.
+    relaxation f and keeps the cheapest base cost plus repair weight.
+
+    The relaxation and the BFS spanning tree run on the base graph, so f,
+    the non-tree edges and the lambda coordinates are the base graph's.
+    The sweep runs on the segment graph (``smooth_topology`` with the
+    request endpoints kept), O(r + k + p + leaves) segments on which every
+    circulation is constant: f and the fundamental cycles project onto it
+    exactly, and so do candidate costs and repair weights, integer sums
+    being exact.  Only the winner is expanded to base edge flows; its
+    repair (when its support is split), its Euler multigraph and its tour
+    are built on the base graph, so reports do not depend on the
+    compression.  The base graph is swept instead when the segments are
+    not much fewer than the edges (``SEGMENT_SHARE``), and whenever a cost
+    is a float: float sums along a chain would round differently, while
+    the base sweep adds every term in the same order as before.
+
+    Ties go to the lexicographically smallest lambda, whatever the order of
+    the sweep: a point is skipped only when its total cannot beat the
+    incumbent, or can only tie it with a larger lambda, because repair
+    weights are nonnegative.  lambda is read off g, not carried through the
+    sweep: C_i is sign_i on its own segment and 0 on every other non-tree
+    segment, so lambda_i = sign_i * (g - f) on that segment.  It is rebuilt
+    only for points whose base cost is at most the incumbent's total.
     """
     graph = instance.base
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
-    topo = smooth_topology(graph)  # validates connectivity
-    r, k = topo.cycle_rank, topo.branch_count
+    seg = smooth_topology(graph, {v for req in instance.requests for v in (req.source, req.target)})
+    r, k = seg.cycle_rank, seg.branch_count
     if p == 0:
         return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, ())
 
-    basis = fundamental_cycles(graph, spanning_tree(graph))
+    tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
-    f_non_tree = [(eid, f.edge_flow[eid]) for eid in basis.non_tree_edges]
+    integer_costs = isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int)
+    if integer_costs and len(seg.edges) <= SEGMENT_SHARE * m:
+        inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
+        f_seg = Circulation(seg.project(f.edge_flow), f.arc_flow)
+    else:
+        inner, basis, f_seg = instance, fundamental_cycles(graph, tree), f
+    f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
-    for g in enumerate_candidates(f, basis, r):
-        base_cost = circulation_cost(instance, g)
+    for g in enumerate_candidates(f_seg, basis, r):
+        base_cost = circulation_cost(inner, g)
         if best is not None and base_cost > best[0]:
             continue  # repair weight is nonnegative, candidate cannot win
-        lam = tuple(g.edge_flow[eid] - value for eid, value in f_non_tree)
+        lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
         if best is not None and base_cost == best[0] and lam > best[1]:
             continue
-        st = connectivity_repair(instance, g)
+        st = connectivity_repair(inner, g)
         total = base_cost + st.weight
         if best is None or total < best[0] or (total == best[0] and lam < best[1]):
             best = (total, lam, g, st)
-    tour = euler_tour(build_euler_multigraph(instance, best[2], best[3]))
-    if tour.total != best[0]:
+
+    total, lam, g, st = best
+    if inner is not instance:
+        g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
+        if st.edge_ids:  # split support: repair again on the base graph, for base edge ids
+            st = connectivity_repair(instance, g)
+    tour = euler_tour(build_euler_multigraph(instance, g, st))
+    if tour.total != total:
         raise RuntimeError("winning tour cost disagrees with candidate cost")
-    return SolveReport(tour, best[0], n, m, p, r, k, (2 * r + 1) ** r, best[1])
+    return SolveReport(tour, total, n, m, p, r, k, (2 * r + 1) ** r, lam)
 
 
 def _step_pieces(tour: Tour, render, end: str) -> list[str]:
@@ -416,7 +454,9 @@ def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
                 s,
             )
 
-        expected = 0 if p == 0 else (2 * r + 1) ** r
+        # counted off the Gray walk itself, not from the (2r+1)^r formula
+        # solve reports
+        expected = 0 if p == 0 else sum(1 for _ in gray_code_lambdas(r, r))
         record("candidate_count", report.candidates_evaluated == expected, s)
 
     results = {

@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import repeat
+from operator import itemgetter, le, lt, mul
+from typing import NamedTuple
 
 Cost = int | float
+_SIGN = (-1, 1)  # indexed by a bool: False -> -1, True -> +1
 
 
 class UnionFind:
@@ -37,14 +41,22 @@ class UnionFind:
         return root
 
     def union(self, a: int, b: int) -> bool:
-        """Join the components of a and b; False when they were one already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Join the components of a and b; False when they were one already.
+
+        The two finds are inlined with path halving, which keeps
+        ``parent[v] <= v``: a union costs no further method calls.
+        """
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        if ra < rb:
-            self.parent[rb] = ra
+        if a < b:
+            parent[b] = a
         else:
-            self.parent[ra] = rb
+            parent[a] = b
         return True
 
 
@@ -64,9 +76,12 @@ def component_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge; (u, v) with u < v is also the forward orientation."""
+class Edge(NamedTuple):
+    """Undirected edge; (u, v) with u < v is also the forward orientation.
+
+    A named tuple: it builds in about half the time of a frozen dataclass,
+    and the parser builds one per edge.
+    """
 
     u: int
     v: int
@@ -87,6 +102,18 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
+        if self.edges:
+            # all checks at C level; only a graph that fails one is walked
+            # edge by edge below, to name the first bad edge
+            us, vs, costs = zip(*self.edges)
+            if (
+                min(us) >= 1
+                and max(vs) <= self.vertex_count
+                and all(map(lt, us, vs))
+                and len(set(zip(us, vs))) == len(us)
+                and all(map(le, repeat(0), costs))
+            ):
+                return
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if not (1 <= e.u <= self.vertex_count and 1 <= e.v <= self.vertex_count):
@@ -141,7 +168,9 @@ class CycleBasis:
     ``cycles[i]`` maps edge_id -> +1/-1 along the unit cycle flow that
     traverses non-tree edge ``non_tree_edges[i]`` forward and returns through
     the tree.  Each cycle hits its own non-tree edge with +1 and no other
-    non-tree edge, so non-tree flow values are basis coordinates.
+    non-tree edge, so non-tree flow values are basis coordinates.  A basis
+    projected onto segments (``segment_basis``) hits its own segment with
+    the sign its base non-tree edge has there, +1 or -1.
     """
 
     tree: frozenset[int]
@@ -149,20 +178,70 @@ class CycleBasis:
     cycles: tuple[dict[int, int], ...]
 
 
+class Segment(NamedTuple):
+    """One maximal chain of a base graph, as an edge of its segment graph.
+
+    It runs from segment vertex u to v, u <= v, through the base edges
+    ``edge_ids`` in walk order (u == v for a loop).  ``signs[j]`` is +1 when
+    the walk crosses ``edge_ids[j]`` in its forward orientation and -1 when
+    against it, so a flow x along the segment is the base flow
+    ``signs[j] * x`` on ``edge_ids[j]``.  ``cost`` is the chain's summed base
+    cost.
+    """
+
+    u: int
+    v: int
+    cost: Cost
+    edge_ids: tuple[int, ...]
+    signs: tuple[int, ...]
+
+
 @dataclass(frozen=True)
-class Multigraph:
-    """Loops and parallel edges allowed; used for smoothed cores only."""
+class SegmentGraph:
+    """A base graph with every chain of plain degree-2 vertices compressed.
+
+    Its vertices are the base vertices whose degree is not 2, the kept ones
+    (request endpoints in ``solve``), and, for a bare cycle with neither,
+    its highest vertex.  Vertex i (1-based) stands for base vertex
+    ``vertices[i - 1]``, so ids keep the base order.  Edges are segments,
+    loops and parallels allowed, which is why this is not a BaseGraph; it has
+    the ``vertex_count``, ``edges`` and ``edge_costs`` the sweep and the
+    repair read.  Segments are listed by their first base edge id, so with
+    every vertex kept, segment i is base edge i in its forward orientation.
+
+    Every circulation is constant along a segment (its inner vertices have
+    degree 2 and no request), which ``project`` and ``expand`` rely on.
+    """
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, Cost], ...]
-
-
-@dataclass(frozen=True)
-class TopologyReport:
+    edges: tuple[Segment, ...]
     cycle_rank: int
     branch_vertices: tuple[int, ...]
-    branch_count: int
-    core_multigraph: Multigraph
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def branch_count(self) -> int:
+        return len(self.branch_vertices)
+
+    @cached_property
+    def edge_costs(self) -> tuple[Cost, ...]:
+        return tuple(s.cost for s in self.edges)
+
+    def project(self, edge_flow: Sequence[int]) -> tuple[int, ...]:
+        """Segment flows of a base flow that is constant along every segment."""
+        return tuple(s.signs[0] * edge_flow[s.edge_ids[0]] for s in self.edges)
+
+    def expand(self, flow: Sequence[int], edge_count: int) -> tuple[int, ...]:
+        """Base edge flows of segment flows."""
+        base = [0] * edge_count
+        for x, s in zip(flow, self.edges):
+            if x:
+                # base[eid] = sign * x along the chain, as one C-level pass
+                deque(map(base.__setitem__, s.edge_ids, map(mul, s.signs, repeat(x))), maxlen=0)
+        return tuple(base)
 
 
 def cycle_rank(graph: BaseGraph) -> int:
@@ -273,61 +352,136 @@ def fundamental_cycles(graph: BaseGraph, tree: frozenset[int]) -> CycleBasis:
     return CycleBasis(frozenset(tree), non_tree, tuple(cycles))
 
 
-def smooth_topology(graph: BaseGraph) -> TopologyReport:
-    """Collapse degree-2 chains; report cycle rank, branch vertices, core.
+def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
+    """The segment graph: every maximal chain whose inner vertices have
+    degree 2 and are not in ``keep`` becomes one segment.
 
-    Every chain is walked once, from each vertex whose degree is not 2 in
-    ascending id order, along its neighbors in ascending order, through
-    degree-2 vertices until the next such vertex; it becomes one core edge
-    carrying the chain's summed cost.  A pure cycle keeps vertex n and one
-    loop.  Each edge is visited once, so this takes O(n + m).
+    Chains are walked from each segment vertex in ascending id order, along
+    its neighbors in ascending order, until the next segment vertex.  A chain
+    that ends at a lower vertex was walked from there already, so every
+    segment runs from its lower end to its higher one.  Each edge is visited
+    once, so this takes O(n + m).  The cycle rank and the branch vertices
+    (degree at least 3) do not depend on ``keep``.
     """
     rank = cycle_rank(graph)  # also checks connectivity
-    branch = tuple(v for v in range(1, graph.vertex_count + 1) if graph.degree(v) >= 3)
-    ends = tuple(v for v in range(1, graph.vertex_count + 1) if graph.degree(v) != 2)
-    if not ends:
-        n = graph.vertex_count
-        loop = (n, n, sum(e.cost for e in graph.edges))
-        return TopologyReport(rank, branch, len(branch), Multigraph((n,), (loop,)))
-
     adjacency = graph.adjacency
+    kept = set(keep)
+    branch = tuple(v for v, pairs in adjacency.items() if len(pairs) >= 3)
+    ends = tuple(v for v, pairs in adjacency.items() if len(pairs) != 2 or v in kept)
+    if not ends:  # a bare cycle
+        ends = (graph.vertex_count,)
+    costs = graph.edge_costs
+    index = {v: i for i, v in enumerate(ends, 1)}
+    # a chain is only ever entered from its two ends, so marking its first
+    # and last edges keeps it from being walked again from the other end
     used = [False] * len(graph.edges)
-    edges: list[tuple[int, int, Cost]] = []
+    segments: list[Segment] = []
     for start in ends:
         for v, eid in adjacency[start]:
             if used[eid]:
                 continue
             used[eid] = True
-            cost = graph.edges[eid].cost
-            while len(adjacency[v]) == 2:
+            if v in index:  # one edge, crossed forward from its lower end
+                segments.append(Segment(index[start], index[v], costs[eid], (eid,), (1,)))
+                continue
+            ids = [eid]
+            walk = [start, v]
+            while v not in index:
                 (a, ea), (b, eb) = adjacency[v]
                 v, eid = (b, eb) if ea == eid else (a, ea)
-                used[eid] = True
-                cost += graph.edges[eid].cost
-            edges.append((min(start, v), max(start, v), cost))
+                ids.append(eid)
+                walk.append(v)
+            used[eid] = True
+            # an edge is crossed forward when the walk goes up in vertex id
+            signs = tuple(map(_SIGN.__getitem__, map(lt, walk, walk[1:])))
+            cost = sum(map(costs.__getitem__, ids))
+            segments.append(Segment(index[start], index[v], cost, tuple(ids), signs))
+    segments.sort(key=itemgetter(3))
+    return SegmentGraph(ends, tuple(segments), rank, branch)
 
-    core = Multigraph(ends, tuple(edges))
-    return TopologyReport(rank, branch, len(branch), core)
+
+def segment_basis(seg: SegmentGraph, tree: frozenset[int]) -> CycleBasis:
+    """The fundamental cycles of a base spanning tree, projected onto segments.
+
+    A segment holds at most one non-tree base edge: two would cut the chain
+    between them off the tree.  So the segments without one form a spanning
+    tree of the segment graph, and the segment holding non-tree edge e
+    closes, with that tree, the projection of e's base cycle.  Each cycle is
+    signed to cross e forward, so it is ``sign`` on its own segment, where
+    ``sign`` is e's sign within the segment; cycles are listed by ascending
+    e, as in ``fundamental_cycles`` on the base graph.  Coefficients on this
+    basis are therefore the base lambda, and lambda_i is ``sign`` times the
+    change of flow on segment ``non_tree_edges[i]``.
+    """
+    holders: list[tuple[int, int, int]] = []  # (non-tree base edge, segment, sign)
+    for sid, s in enumerate(seg.edges):
+        if not tree.issuperset(s.edge_ids):
+            for eid, sign in zip(s.edge_ids, s.signs):
+                if eid not in tree:
+                    holders.append((eid, sid, sign))
+                    break
+    holders.sort()
+    non_tree = {sid for _, sid, _ in holders}
+    core = fundamental_cycles(seg, frozenset(sid for sid in range(len(seg.edges)) if sid not in non_tree))
+    by_segment = dict(zip(core.non_tree_edges, core.cycles))
+    cycles = tuple({sid: sign * val for sid, val in by_segment[s].items()} for _, s, sign in holders)
+    return CycleBasis(core.tree, tuple(sid for _, sid, _ in holders), cycles)
 
 
 def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
-    """Min-cost path; ties broken by lexicographically smallest vertex list."""
+    """Min-cost path; ties broken by lexicographically smallest vertex list.
+
+    Dijkstra from the source settles vertices until the target, each at a
+    distance d summed along a path from the source.  Call an edge v -> w
+    tight when v settled before w and d(v) + c == d(w): the tight paths to
+    the target are its shortest paths, each summing to d(target) step by
+    step, and they form a DAG.  A backward pass from the target marks the
+    vertices with a tight path to it, and a forward walk from the source
+    takes, at each vertex, its least marked neighbor over a tight edge,
+    which spells out the lexicographically smallest of them.  O(m log n) in
+    all.  Over zero-cost edges a tight step needs the settling order, so
+    there the tie-break is among the paths that order allows.
+    """
     for v in (source, target):
         if not (1 <= v <= graph.vertex_count):
             raise ValueError(f"vertex out of range: {v}")
     if source == target:
         return 0, (source,)
-    heap: list[tuple[Cost, tuple[int, ...]]] = [(0, (source,))]
-    done: set[int] = set()
-    while heap:
-        dist, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in done:
+    adjacency, costs = graph.adjacency, graph.edge_costs
+    dist: list[Cost] = [0] * (graph.vertex_count + 1)
+    rank = [0] * (graph.vertex_count + 1)  # settling order, 0 while unsettled
+    heap: list[tuple[Cost, int]] = [(0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    settled = 0
+    while not rank[target]:
+        if not heap:
+            raise ValueError(f"no path between {source} and {target}")
+        d, v = pop(heap)
+        if rank[v]:
             continue
-        done.add(v)
-        if v == target:
-            return dist, path
-        for w, eid in graph.adjacency[v]:
-            if w not in done:
-                heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
-    raise ValueError(f"no path between {source} and {target}")
+        settled += 1
+        dist[v], rank[v] = d, settled
+        for w, eid in adjacency[v]:
+            if not rank[w]:
+                push(heap, (d + costs[eid], w))
+
+    marked = [False] * (graph.vertex_count + 1)
+    marked[target] = True
+    stack = [target]
+    while stack:  # every v with a tight path to the target
+        w = stack.pop()
+        dw, rw = dist[w], rank[w]
+        for v, eid in adjacency[w]:
+            if not marked[v] and 0 < rank[v] < rw and dist[v] + costs[eid] == dw:
+                marked[v] = True
+                stack.append(v)
+    path = [source]
+    v = source
+    while v != target:  # on to the least marked neighbor over a tight edge
+        dv, rv = dist[v], rank[v]
+        for w, eid in adjacency[v]:
+            if marked[w] and rank[w] > rv and dv + costs[eid] == dist[w]:
+                break
+        path.append(w)
+        v = w
+    return dist[target], tuple(path)

@@ -25,7 +25,7 @@ from scpsolver.cli_io import (
     solve,
 )
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
-from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, smooth_topology, spanning_tree
 from scpsolver.homology_tour import Tour, connectivity_repair
 from scpsolver.oracle import SplitMix64, brute_force_tour, random_instance, verify_tour
 
@@ -222,6 +222,14 @@ def test_solve_matches_the_reference_sweep():
         assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
         ranks.add(report.r)
     assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_segment_sweep_matches_the_reference_sweep(monkeypatch):
+    # every instance sweeps its segment graph, however little it compresses
+    monkeypatch.setattr(cli_io, "SEGMENT_SHARE", 1.0)
+    for instance in sweep_cases():
+        report = solve(instance)
+        assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
 
 
 def test_solve_breaks_total_cost_ties_on_the_smallest_lambda():
@@ -465,6 +473,20 @@ def test_run_acceptance_flags_a_wrong_solver_cost(monkeypatch):
     assert summary.results["solve_matches_oracle"].failed == 12
 
 
+def test_run_acceptance_flags_a_wrong_candidate_count(monkeypatch):
+    honest = cli_io.solve
+
+    def miscounted(instance):
+        report = honest(instance)
+        return dataclasses.replace(report, candidates_evaluated=report.candidates_evaluated + 1)
+
+    monkeypatch.setattr(cli_io, "solve", miscounted)
+    summary = run_acceptance(seed=5, count=12)
+    assert not summary.ok
+    assert summary.results["candidate_count"].failed == 12
+    assert summary.results["solve_matches_oracle"].failed == 0
+
+
 # --- graph families ---
 
 
@@ -496,6 +518,98 @@ def test_large_family_instances_solve(family, cost, rk):
     assert check.valid and check.cost == cost
     assert report.tour.total == report.cost == cost
     assert (report.r, report.k) == rk
+
+
+@pytest.mark.parametrize("family", ["path", "cycle", "theta"])
+def test_segment_sweep_solves_20000_vertex_chains(family, monkeypatch):
+    inst = _family_instance(family, 20_000, 1)
+    graph, p = inst.base, len(inst.requests)
+    swept = set()
+    priced = cli_io.circulation_cost
+
+    def recording(instance, g):
+        swept.add(len(g.edge_flow))
+        return priced(instance, g)
+
+    monkeypatch.setattr(cli_io, "circulation_cost", recording)
+    report = solve(inst)
+    # segments = segment vertices - 1 + r, and the segment vertices are the
+    # k branch vertices, the leaves and at most 2p request endpoints
+    leaves = sum(graph.degree(v) == 1 for v in range(1, graph.vertex_count + 1))
+    (segments,) = swept
+    assert segments <= report.r + report.k + 2 * p + leaves - 1
+    check = verify_tour(inst, report.tour)
+    assert check.valid and check.cost == report.cost
+    assert report.cost >= circulation_cost(inst, min_cost_circulation(inst))
+
+
+def ring(vertices, cost):
+    return [(a, b, cost + i % 3) for i, (a, b) in enumerate(zip(vertices, vertices[1:] + vertices[:1]))]
+
+
+SEGMENT_SHAPES = {
+    # two endpoints on a ring: two parallel segments between them
+    "two-parallels": (12, ring(list(range(1, 13)), 2), [(3, 9, 1, 2), (9, 3, 5, 1)]),
+    # requests only at the hubs: three bare parallel chains
+    "bare-theta": (
+        14,
+        [(a, b, 1 + (a + b) % 4) for chain in ([1, 3, 4, 5, 6, 2], [1, 7, 8, 9, 10, 2], [1, 11, 12, 13, 14, 2])
+         for a, b in zip(chain, chain[1:])],
+        [(1, 2, 3, 1), (2, 1, 9, 1)],
+    ),
+    # a ring hanging off vertex 1 of a path: a loop segment
+    "hanging-loop": (
+        14,
+        ring(list(range(1, 9)), 1) + [(1, 9, 2)] + [(v, v + 1, 1 + v % 2) for v in range(9, 14)],
+        [(14, 10, 2, 2), (9, 12, 6, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SEGMENT_SHAPES)
+def test_segment_sweep_handles_loops_and_parallel_segments(shape, monkeypatch):
+    n, triples, requests = SEGMENT_SHAPES[shape]
+    inst = Instance(BaseGraph.from_edges(n, triples), tuple(Request(*r) for r in requests))
+    swept = set()
+    priced = cli_io.circulation_cost
+
+    def recording(instance, g):
+        swept.add(type(instance.base))
+        return priced(instance, g)
+
+    monkeypatch.setattr(cli_io, "circulation_cost", recording)
+    report = solve(inst)
+    assert swept == {graph_core.SegmentGraph}
+    assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(inst)
+    assert report.cost == brute_force_tour(inst).cost
+    check = verify_tour(inst, report.tour)
+    assert check.valid and check.cost == report.cost
+
+
+def test_subdividing_a_chain_edge_keeps_the_segment_graph_and_the_optimum():
+    # edge i of cost c becomes u - x - v with costs a + b = c, x a new
+    # degree-2 vertex with no request
+    rng = SplitMix64(12)
+    checked = 0
+    while checked < 60:
+        inst = random_instance(rng.next64(), 9, 3, 4, 9)
+        if not inst.requests:
+            continue
+        g = inst.base
+        i = rng.randint(0, len(g.edges) - 1)
+        e = g.edges[i]
+        a = rng.randint(0, e.cost)
+        x = g.vertex_count + 1
+        triples = [(f.u, f.v, f.cost) for f in g.edges]
+        triples[i] = (e.u, x, a)
+        triples.append((x, e.v, e.cost - a))
+        sub = Instance(BaseGraph.from_edges(x, triples), inst.requests)
+        keep = {v for r in inst.requests for v in (r.source, r.target)}
+        before, after = smooth_topology(g, keep), smooth_topology(sub.base, keep)
+        assert (after.vertices, after.cycle_rank, after.branch_vertices) == (before.vertices, before.cycle_rank, before.branch_vertices)
+        assert sorted(s[:3] for s in after.edges) == sorted(s[:3] for s in before.edges)
+        assert solve(sub).cost == solve(inst).cost
+        checked += 1
 
 
 # --- command line ---

@@ -112,6 +112,20 @@ def test_reports_match_golden_digests():
     assert not changed, f"{len(changed)} reports changed, first: {changed[:10]}"
 
 
+def test_segment_sweep_picks_the_base_sweeps_lambda():
+    # the sweep runs on segments with the projected basis; the reference runs
+    # on the base graph with fundamental_cycles, as solve did before segments
+    from test_cli_io import reference_sweep
+
+    checked = 0
+    for name, instance in cases().items():
+        if name.startswith(("chain/", "family/")):
+            report = solve(instance)
+            assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance), name
+            checked += 1
+    assert checked == len(CHAIN_SIZES) * CHAINS_PER_SIZE + sum(map(len, FAMILY_SIZES.values()))
+
+
 def test_golden_corpus_covers_refusals_and_long_tours():
     with open(DIGESTS, encoding="utf-8") as fh:
         golden = json.load(fh)

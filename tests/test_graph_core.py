@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from scpsolver.graph_core import (
@@ -6,6 +8,7 @@ from scpsolver.graph_core import (
     component_roots,
     cycle_rank,
     fundamental_cycles,
+    segment_basis,
     shortest_path,
     smooth_topology,
     spanning_tree,
@@ -205,22 +208,26 @@ def test_basis_reconstructs_any_cycle_combination():
 # --- smoothing ---
 
 
+def chains(seg):
+    """Each segment as (base u, base v, cost)."""
+    return tuple((seg.vertices[s.u - 1], seg.vertices[s.v - 1], s.cost) for s in seg.edges)
+
+
 def test_smooth_path_collapses_to_one_edge():
     report = smooth_topology(path_graph(10, cost=2))
     assert report.cycle_rank == 0
     assert report.branch_count == 0
     assert report.branch_vertices == ()
-    assert report.core_multigraph.vertices == (1, 10)
-    assert report.core_multigraph.edges == ((1, 10, 18),)
+    assert report.vertices == (1, 10)
+    assert chains(report) == ((1, 10, 18),)
 
 
 def test_smooth_cycle_collapses_to_one_loop():
     report = smooth_topology(ring_graph(8))
-    core = report.core_multigraph
     assert report.cycle_rank == 1
     assert report.branch_count == 0
-    assert len(core.vertices) == 1
-    (u, v, cost), = core.edges
+    assert len(report.vertices) == 1
+    (u, v, cost), = chains(report)
     assert u == v and cost == 8
 
 
@@ -238,14 +245,13 @@ def test_smooth_subdivided_theta():
     assert report.cycle_rank == 2
     assert report.branch_vertices == (1, 2)
     assert report.branch_count == 2
-    core = report.core_multigraph
-    assert core.vertices == (1, 2)
-    assert sorted(core.edges) == [(1, 2, 3), (1, 2, 3), (1, 2, 3)]
+    assert report.vertices == (1, 2)
+    assert sorted(chains(report)) == [(1, 2, 3), (1, 2, 3), (1, 2, 3)]
 
 
 def test_smooth_single_edge_untouched():
     report = smooth_topology(path_graph(2, cost=7))
-    assert report.core_multigraph.edges == ((1, 2, 7),)
+    assert chains(report) == ((1, 2, 7),)
 
 
 def test_smooth_preserves_rank_and_total_cost():
@@ -254,9 +260,8 @@ def test_smooth_preserves_rank_and_total_cost():
         inst = random_instance(rng.next64(), 9, 4, 0, 9)
         g = inst.base
         report = smooth_topology(g)
-        core = report.core_multigraph
-        assert len(core.edges) - len(core.vertices) + 1 == cycle_rank(g)
-        assert sum(c for _, _, c in core.edges) == sum(e.cost for e in g.edges)
+        assert len(report.edges) - len(report.vertices) + 1 == cycle_rank(g)
+        assert sum(s.cost for s in report.edges) == sum(e.cost for e in g.edges)
 
 
 def test_smooth_subdivision_has_same_core_shape():
@@ -265,26 +270,26 @@ def test_smooth_subdivision_has_same_core_shape():
     subdivided = BaseGraph.from_edges(
         6, [(1, 6, 1), (6, 3, 1), (2, 3, 1), (1, 4, 1), (2, 4, 1), (1, 5, 1), (2, 5, 1)]
     )
-    a = smooth_topology(g).core_multigraph
-    b = smooth_topology(subdivided).core_multigraph
-    degree_a = sorted([v for u, w, _ in a.edges for v in (u, w)])
-    degree_b = sorted([v for u, w, _ in b.edges for v in (u, w)])
+    a = smooth_topology(g)
+    b = smooth_topology(subdivided)
+    degree_a = sorted([v for s in a.edges for v in (s.u, s.v)])
+    degree_b = sorted([v for s in b.edges for v in (s.u, s.v)])
     assert len(a.vertices) == len(b.vertices)
     assert len(degree_a) == len(degree_b)
-    assert sum(c for _, _, c in b.edges) == sum(c for _, _, c in a.edges) + 1
+    assert sum(s.cost for s in b.edges) == sum(s.cost for s in a.edges) + 1
 
 
 def test_smooth_long_path_is_one_edge():
     report = smooth_topology(path_graph(20_000, cost=3))
-    assert report.core_multigraph.vertices == (1, 20_000)
-    assert report.core_multigraph.edges == ((1, 20_000, 3 * 19_999),)
+    assert report.vertices == (1, 20_000)
+    assert chains(report) == ((1, 20_000, 3 * 19_999),)
 
 
 def test_smooth_long_ring_is_one_loop():
     report = smooth_topology(ring_graph(20_000))
     assert report.branch_count == 0
-    assert report.core_multigraph.vertices == (20_000,)
-    assert report.core_multigraph.edges == ((20_000, 20_000, 20_000),)
+    assert report.vertices == (20_000,)
+    assert chains(report) == ((20_000, 20_000, 20_000),)
 
 
 def test_smooth_long_theta_is_three_parallels():
@@ -297,8 +302,71 @@ def test_smooth_long_theta_is_three_parallels():
         triples += [(a, b, 1) for a, b in zip(chain, chain[1:])]
     report = smooth_topology(BaseGraph.from_edges(nxt - 1, triples))
     assert (report.cycle_rank, report.branch_vertices) == (2, (1, 2))
-    assert report.core_multigraph.vertices == (1, 2)
-    assert report.core_multigraph.edges == ((1, 2, 5_001),) * 3
+    assert report.vertices == (1, 2)
+    assert chains(report) == ((1, 2, 5_001),) * 3
+
+
+def endpoint_instances(seed, count):
+    rng = SplitMix64(seed)
+    while count:
+        inst = random_instance(rng.next64(), 12, 4, 4, 9)
+        if inst.requests:
+            count -= 1
+            yield inst, {v for r in inst.requests for v in (r.source, r.target)}
+
+
+def test_segments_cover_every_edge_once_with_signed_chains():
+    for inst, keep in endpoint_instances(5, 60):
+        g = inst.base
+        seg = smooth_topology(g, keep)
+        assert keep <= set(seg.vertices)
+        assert sorted(eid for s in seg.edges for eid in s.edge_ids) == list(range(len(g.edges)))
+        assert [s.edge_ids[0] for s in seg.edges] == sorted(s.edge_ids[0] for s in seg.edges)
+        for s in seg.edges:
+            assert s.u <= s.v and s.cost == sum(g.edges[eid].cost for eid in s.edge_ids)
+            x = seg.vertices[s.u - 1]  # walk the chain by its signs
+            for eid, sign in zip(s.edge_ids, s.signs):
+                e = g.edges[eid]
+                assert x == (e.u if sign == 1 else e.v)
+                x = e.v if sign == 1 else e.u
+            assert x == seg.vertices[s.v - 1]
+
+
+def test_segment_graph_of_a_cycle_with_two_endpoints_has_two_parallels():
+    seg = smooth_topology(ring_graph(9), {3, 7})
+    assert seg.vertices == (3, 7)
+    # both run from 3 to 7: one down through 1 and 9, one up through 4
+    assert chains(seg) == ((3, 7, 5), (3, 7, 4))
+    assert [s.edge_ids for s in seg.edges] == [(1, 0, 8, 7, 6), (2, 3, 4, 5)]
+    assert [s.signs for s in seg.edges] == [(-1, -1, 1, -1, -1), (1, 1, 1, 1)]
+
+
+def test_segment_graph_keeps_a_loop_hanging_off_one_vertex():
+    # triangle 1-2-3 hanging off vertex 1 of the path 4-1
+    g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (1, 3, 4), (1, 4, 8)])
+    seg = smooth_topology(g, {4})
+    assert seg.vertices == (1, 4)
+    assert chains(seg) == ((1, 1, 7), (1, 4, 8))
+    assert seg.edges[0].signs == (1, 1, -1)
+
+
+def project_cycle(seg, cycle, edge_count):
+    """A base cycle as segment flows, zero entries dropped."""
+    flows = seg.project([cycle.get(eid, 0) for eid in range(edge_count)])
+    return {sid: val for sid, val in enumerate(flows) if val}
+
+
+def test_segment_basis_is_the_projected_base_basis():
+    for inst, keep in endpoint_instances(7, 80):
+        g = inst.base
+        tree = spanning_tree(g)
+        base = fundamental_cycles(g, tree)
+        seg = smooth_topology(g, keep)
+        basis = segment_basis(seg, tree)
+        assert len(basis.cycles) == len(base.cycles) == cycle_rank(g)
+        for own, cycle, eid, base_cycle in zip(basis.non_tree_edges, basis.cycles, base.non_tree_edges, base.cycles):
+            assert eid in seg.edges[own].edge_ids
+            assert cycle == project_cycle(seg, base_cycle, len(g.edges))
 
 
 # --- shortest paths ---
@@ -321,6 +389,72 @@ def test_shortest_path_breaks_ties_lexicographically():
 def test_shortest_path_prefers_cheaper_long_route():
     g = BaseGraph.from_edges(4, [(1, 4, 10), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     assert shortest_path(g, 1, 4) == (3, (1, 2, 3, 4))
+
+
+def quadratic_shortest_path(graph, source, target):
+    """The earlier shortest_path: every heap entry carries its whole path."""
+    if source == target:
+        return 0, (source,)
+    heap = [(0, (source,))]
+    done = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in done:
+            continue
+        done.add(v)
+        if v == target:
+            return dist, path
+        for w, eid in graph.adjacency[v]:
+            if w not in done:
+                heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
+    raise ValueError(f"no path between {source} and {target}")
+
+
+@pytest.mark.parametrize("scale", [1, 10])
+def test_shortest_path_matches_the_quadratic_search(scale):
+    # int costs, and costs k/10 whose float sums depend on the summing order
+    rng = SplitMix64(77 + scale)
+    ties = 0
+    for _ in range(400):
+        g = random_instance(rng.next64(), 12, 6, 0, 4).base
+        if scale != 1:
+            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost / scale) for e in g.edges])
+        for _ in range(4):
+            s, t = rng.randint(1, g.vertex_count), rng.randint(1, g.vertex_count)
+            want = quadratic_shortest_path(g, s, t)
+            got = shortest_path(g, s, t)
+            assert got == want and type(got[0]) is type(want[0])
+            ties += len({p for p in all_paths(g, s, t) if path_cost(g, p) == want[0]}) > 1
+    assert ties > 50  # the tie-break is exercised, not just the distances
+
+
+def all_paths(g, s, t):
+    """Every simple s-t path (small graphs only)."""
+    out = []
+    stack = [(s, (s,))]
+    while stack:
+        v, path = stack.pop()
+        if v == t:
+            out.append(path)
+            continue
+        for w, _ in g.adjacency[v]:
+            if w not in path:
+                stack.append((w, path + (w,)))
+    return out
+
+
+def path_cost(g, path):
+    cost = 0
+    for a, b in zip(path, path[1:]):
+        cost += next(g.edges[eid].cost for w, eid in g.adjacency[a] if w == b)
+    return cost
+
+
+def test_shortest_path_on_a_long_path():
+    # the quadratic search took seconds here: each heap entry copied its path
+    g = path_graph(50_000, cost=3)
+    assert shortest_path(g, 1, 50_000) == (3 * 49_999, tuple(range(1, 50_001)))
 
 
 def test_shortest_path_cost_is_symmetric():

@@ -104,14 +104,16 @@ class BaseGraph:
             raise ValueError("graph needs at least one vertex")
         if self.edges:
             # all checks at C level; only a graph that fails one is walked
-            # edge by edge below, to name the first bad edge
-            us, vs, costs = zip(*self.edges)
+            # edge by edge below, to name the first bad edge.  Lists, not
+            # zip(*edges): its tuples would park in the tuple free lists.
+            us = list(map(itemgetter(0), self.edges))
+            vs = list(map(itemgetter(1), self.edges))
             if (
                 min(us) >= 1
                 and max(vs) <= self.vertex_count
                 and all(map(lt, us, vs))
                 and len(set(zip(us, vs))) == len(us)
-                and all(map(le, repeat(0), costs))
+                and all(map(le, repeat(0), map(itemgetter(2), self.edges)))
             ):
                 return
         seen: set[tuple[int, int]] = set()

@@ -16,7 +16,6 @@ from operator import itemgetter, le, lt, mul
 from typing import NamedTuple
 
 Cost = int | float
-_SIGN = (-1, 1)  # indexed by a bool: False -> -1, True -> +1
 
 
 class UnionFind:
@@ -386,18 +385,17 @@ def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
             if v in index:  # one edge, crossed forward from its lower end
                 segments.append(Segment(index[start], index[v], costs[eid], (eid,), (1,)))
                 continue
+            # an edge is crossed forward when the walk goes up in vertex id
             ids = [eid]
-            walk = [start, v]
+            signs = [1 if start < v else -1]
             while v not in index:
                 (a, ea), (b, eb) = adjacency[v]
-                v, eid = (b, eb) if ea == eid else (a, ea)
+                x, (v, eid) = v, ((b, eb) if ea == eid else (a, ea))
                 ids.append(eid)
-                walk.append(v)
+                signs.append(1 if x < v else -1)
             used[eid] = True
-            # an edge is crossed forward when the walk goes up in vertex id
-            signs = tuple(map(_SIGN.__getitem__, map(lt, walk, walk[1:])))
             cost = sum(map(costs.__getitem__, ids))
-            segments.append(Segment(index[start], index[v], cost, tuple(ids), signs))
+            segments.append(Segment(index[start], index[v], cost, tuple(ids), tuple(signs)))
     segments.sort(key=itemgetter(3))
     return SegmentGraph(ends, tuple(segments), rank, branch)
 
@@ -423,11 +421,17 @@ def segment_basis(seg: SegmentGraph, tree: frozenset[int]) -> CycleBasis:
                     holders.append((eid, sid, sign))
                     break
     holders.sort()
-    non_tree = {sid for _, sid, _ in holders}
-    core = fundamental_cycles(seg, frozenset(sid for sid in range(len(seg.edges)) if sid not in non_tree))
-    by_segment = dict(zip(core.non_tree_edges, core.cycles))
-    cycles = tuple({sid: sign * val for sid, val in by_segment[s].items()} for _, s, sign in holders)
-    return CycleBasis(core.tree, tuple(sid for _, sid, _ in holders), cycles)
+    non_tree = tuple(sid for _, sid, _ in holders)
+    seg_tree = frozenset(range(len(seg.edges))).difference(non_tree)
+    rooted = rooted_tree(seg, seg_tree)
+    cycles: list[dict[int, int]] = []
+    for _, sid, sign in holders:
+        s = seg.edges[sid]
+        cycle = {sid: sign}
+        for x, _, step in rooted.path(s.v, s.u):
+            cycle[step] = sign if x == seg.edges[step].u else -sign
+        cycles.append(cycle)
+    return CycleBasis(seg_tree, non_tree, tuple(cycles))
 
 
 def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:

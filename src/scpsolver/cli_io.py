@@ -170,7 +170,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(line_no, "self-loop", f"self-loop at vertex {u}")
             if cost < 0:
                 raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {cost}")
-            pair = (min(u, v), max(u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in edge_pairs:
                 raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
             edge_pairs.add(pair)

@@ -132,16 +132,16 @@ class BaseGraph:
     @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, Cost]]) -> "BaseGraph":
         """Build a graph normalizing each (u, v, cost) triple to u < v."""
-        edges = tuple(Edge(min(u, v), max(u, v), cost) for u, v, cost in triples)
+        edges = tuple(Edge(u, v, cost) if u < v else Edge(v, u, cost) for u, v, cost in triples)
         return cls(vertex_count, edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertex_count + 1)}
-        for eid, e in enumerate(self.edges):
-            adj[e.u].append((e.v, eid))
-            adj[e.v].append((e.u, eid))
+        for eid, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
         return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
     @cached_property

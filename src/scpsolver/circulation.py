@@ -18,12 +18,9 @@ from typing import NamedTuple
 from .graph_core import BaseGraph, Cost, CycleBasis, SegmentGraph, component_roots, rooted_tree
 
 
-class Request(NamedTuple):
-    """Directed transport request from source to target with a unit cost.
-
-    A named tuple, like ``Edge``: it builds in about half the time of a
-    frozen dataclass.
-    """
+@dataclass(frozen=True)
+class Request:
+    """Directed transport request from source to target with a unit cost."""
 
     source: int
     target: int

@@ -170,7 +170,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(line_no, "self-loop", f"self-loop at vertex {u}")
             if cost < 0:
                 raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {cost}")
-            pair = (u, v) if u < v else (v, u)
+            pair = (min(u, v), max(u, v))
             if pair in edge_pairs:
                 raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
             edge_pairs.add(pair)
@@ -231,13 +231,6 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# solve sweeps the segment graph only when it has at most this share of the
-# base edges.  With more segments, building it and repairing the winner once
-# more on the base graph cost more than the smaller sweep saves (corpus-sized
-# graphs); both sweeps give the same report.
-SEGMENT_SHARE = 0.5
-
-
 def solve(instance: Instance) -> SolveReport:
     """Exact minimum-cost tour serving every request its demanded number of times.
 
@@ -253,10 +246,9 @@ def solve(instance: Instance) -> SolveReport:
     being exact.  Only the winner is expanded to base edge flows; its
     repair (when its support is split), its Euler multigraph and its tour
     are built on the base graph, so reports do not depend on the
-    compression.  The base graph is swept instead when the segments are
-    not much fewer than the edges (``SEGMENT_SHARE``), and whenever a cost
-    is a float: float sums along a chain would round differently, while
-    the base sweep adds every term in the same order as before.
+    compression.  The base graph is swept instead when a cost is a float:
+    float sums along a chain would round differently, while the base sweep
+    adds every term in the same order as before.
 
     Ties go to the lexicographically smallest lambda, whatever the order of
     the sweep: a point is skipped only when its total cannot beat the
@@ -276,7 +268,7 @@ def solve(instance: Instance) -> SolveReport:
     tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
     integer_costs = isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int)
-    if integer_costs and len(seg.edges) <= SEGMENT_SHARE * m:
+    if integer_costs:
         inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
         f_seg = Circulation(seg.project(f.edge_flow), f.arc_flow)
     else:

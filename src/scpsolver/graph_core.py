@@ -11,8 +11,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter, le, lt, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 Cost = int | float
@@ -40,22 +39,14 @@ class UnionFind:
         return root
 
     def union(self, a: int, b: int) -> bool:
-        """Join the components of a and b; False when they were one already.
-
-        The two finds are inlined with path halving, which keeps
-        ``parent[v] <= v``: a union costs no further method calls.
-        """
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
+        """Join the components of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
             return False
-        if a < b:
-            parent[b] = a
+        if ra < rb:
+            self.parent[rb] = ra
         else:
-            parent[a] = b
+            self.parent[ra] = rb
         return True
 
 
@@ -75,12 +66,9 @@ def component_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
-class Edge(NamedTuple):
-    """Undirected edge; (u, v) with u < v is also the forward orientation.
-
-    A named tuple: it builds in about half the time of a frozen dataclass,
-    and the parser builds one per edge.
-    """
+@dataclass(frozen=True)
+class Edge:
+    """Undirected edge; (u, v) with u < v is also the forward orientation."""
 
     u: int
     v: int
@@ -101,20 +89,6 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        if self.edges:
-            # all checks at C level; only a graph that fails one is walked
-            # edge by edge below, to name the first bad edge.  Lists, not
-            # zip(*edges): its tuples would park in the tuple free lists.
-            us = list(map(itemgetter(0), self.edges))
-            vs = list(map(itemgetter(1), self.edges))
-            if (
-                min(us) >= 1
-                and max(vs) <= self.vertex_count
-                and all(map(lt, us, vs))
-                and len(set(zip(us, vs))) == len(us)
-                and all(map(le, repeat(0), map(itemgetter(2), self.edges)))
-            ):
-                return
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
             if not (1 <= e.u <= self.vertex_count and 1 <= e.v <= self.vertex_count):
@@ -132,16 +106,16 @@ class BaseGraph:
     @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, Cost]]) -> "BaseGraph":
         """Build a graph normalizing each (u, v, cost) triple to u < v."""
-        edges = tuple(Edge(u, v, cost) if u < v else Edge(v, u, cost) for u, v, cost in triples)
+        edges = tuple(Edge(min(u, v), max(u, v), cost) for u, v, cost in triples)
         return cls(vertex_count, edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id."""
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertex_count + 1)}
-        for eid, (u, v, _) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
+        for eid, e in enumerate(self.edges):
+            adj[e.u].append((e.v, eid))
+            adj[e.v].append((e.u, eid))
         return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
 
     @cached_property
@@ -240,8 +214,8 @@ class SegmentGraph:
         base = [0] * edge_count
         for x, s in zip(flow, self.edges):
             if x:
-                # base[eid] = sign * x along the chain, as one C-level pass
-                deque(map(base.__setitem__, s.edge_ids, map(mul, s.signs, repeat(x))), maxlen=0)
+                for eid, sign in zip(s.edge_ids, s.signs):
+                    base[eid] = sign * x
         return tuple(base)
 
 
@@ -445,14 +419,21 @@ def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tup
     vertices with a tight path to it, and a forward walk from the source
     takes, at each vertex, its least marked neighbor over a tight edge,
     which spells out the lexicographically smallest of them.  O(m log n) in
-    all.  Over zero-cost edges a tight step needs the settling order, so
-    there the tie-break is among the paths that order allows.
+    all.
+
+    A zero-cost edge can join two vertices at one distance, and a tight
+    step between them would then follow the settling order rather than the
+    path order.  So a graph with a zero-cost edge takes the search whose
+    heap entries carry their whole vertex lists instead: the same answer,
+    quadratic in the path length.
     """
     for v in (source, target):
         if not (1 <= v <= graph.vertex_count):
             raise ValueError(f"vertex out of range: {v}")
     if source == target:
         return 0, (source,)
+    if 0 in graph.edge_costs:
+        return _shortest_path_carrying_paths(graph, source, target)
     adjacency, costs = graph.adjacency, graph.edge_costs
     dist: list[Cost] = [0] * (graph.vertex_count + 1)
     rank = [0] * (graph.vertex_count + 1)  # settling order, 0 while unsettled
@@ -491,3 +472,23 @@ def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tup
         path.append(w)
         v = w
     return dist[target], tuple(path)
+
+
+def _shortest_path_carrying_paths(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
+    """Dijkstra on (distance, vertex list) heap entries: the first entry
+    popped for the target is the cheapest path, lexicographically smallest
+    among equal costs, zero-cost edges included."""
+    heap: list[tuple[Cost, tuple[int, ...]]] = [(0, (source,))]
+    done: set[int] = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in done:
+            continue
+        done.add(v)
+        if v == target:
+            return dist, path
+        for w, eid in graph.adjacency[v]:
+            if w not in done:
+                heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
+    raise ValueError(f"no path between {source} and {target}")

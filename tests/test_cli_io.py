@@ -224,14 +224,6 @@ def test_solve_matches_the_reference_sweep():
     assert ranks == {0, 1, 2, 3, 4}
 
 
-def test_segment_sweep_matches_the_reference_sweep(monkeypatch):
-    # every instance sweeps its segment graph, however little it compresses
-    monkeypatch.setattr(cli_io, "SEGMENT_SHARE", 1.0)
-    for instance in sweep_cases():
-        report = solve(instance)
-        assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
-
-
 def test_solve_breaks_total_cost_ties_on_the_smallest_lambda():
     # a draw where two lambda tie on the minimum base cost and on the total,
     # and Gray order meets the larger one first

@@ -411,15 +411,18 @@ def quadratic_shortest_path(graph, source, target):
     raise ValueError(f"no path between {source} and {target}")
 
 
-@pytest.mark.parametrize("scale", [1, 10])
-def test_shortest_path_matches_the_quadratic_search(scale):
-    # int costs, and costs k/10 whose float sums depend on the summing order
-    rng = SplitMix64(77 + scale)
+@pytest.mark.parametrize("costs", ["int", "tenths", "zero"])
+def test_shortest_path_matches_the_quadratic_search(costs):
+    # int costs; costs k/10, whose float sums depend on the summing order;
+    # and int costs 0-3, whose zero-cost edges tie vertices at one distance
+    rng = SplitMix64({"int": 78, "tenths": 87, "zero": 96}[costs])
     ties = 0
     for _ in range(400):
         g = random_instance(rng.next64(), 12, 6, 0, 4).base
-        if scale != 1:
-            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost / scale) for e in g.edges])
+        if costs == "tenths":
+            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost / 10) for e in g.edges])
+        elif costs == "zero":
+            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost - 1) for e in g.edges])
         for _ in range(4):
             s, t = rng.randint(1, g.vertex_count), rng.randint(1, g.vertex_count)
             want = quadratic_shortest_path(g, s, t)

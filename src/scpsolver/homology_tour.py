@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, repeat, starmap
 from operator import attrgetter, itemgetter, mul
 
-from .circulation import Circulation, Instance, circulation_cost, support_pairs
+from .circulation import Circulation, Instance, circulation_cost, support_connected, support_pairs
 from .graph_core import Cost, UnionFind, component_roots
 
 KIND_REQUEST = "request"
@@ -297,10 +297,14 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
 
 
 def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
-    """Doubled edges needed to join the support of g into one component."""
-    cg = contract_support(instance, g)
-    if len(cg.terminals) <= 1:
+    """Doubled edges needed to join the support of g into one component.
+
+    Most candidates near the optimum have a connected support; they are
+    answered by one union-find pass, without building the quotient.
+    """
+    if support_connected(instance, g):
         return SteinerSolution(frozenset(), 0)
+    cg = contract_support(instance, g)
     reduced = steiner_preprocess(cg)
     return min_steiner_tree(reduced, reduced.terminals)
 

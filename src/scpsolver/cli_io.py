@@ -231,6 +231,13 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+# solve repairs the surviving box points in batches of at most this many,
+# cheapest first.  A batch is held in memory, one circulation per point;
+# every relax-chain and bulk-demand box (r <= 2, at most 25 points) fits in
+# one.
+REPAIR_BATCH = 64
+
+
 def solve(instance: Instance) -> SolveReport:
     """Exact minimum-cost tour serving every request its demanded number of times.
 
@@ -250,13 +257,22 @@ def solve(instance: Instance) -> SolveReport:
     float sums along a chain would round differently, while the base sweep
     adds every term in the same order as before.
 
+    Every box point is priced once, in Gray order.  A point whose base cost
+    is at most the incumbent's total joins a batch, and a full batch (and
+    the last one) is repaired in ascending (base cost, lambda) order, so
+    the cheapest points set the incumbent before the dearer ones are
+    reached: on relax-chain this repairs a third as many points as
+    repairing each one in Gray order.
+
     Ties go to the lexicographically smallest lambda, whatever the order of
     the sweep: a point is skipped only when its total cannot beat the
     incumbent, or can only tie it with a larger lambda, because repair
-    weights are nonnegative.  lambda is read off g, not carried through the
-    sweep: C_i is sign_i on its own segment and 0 on every other non-tree
-    segment, so lambda_i = sign_i * (g - f) on that segment.  It is rebuilt
-    only for points whose base cost is at most the incumbent's total.
+    weights are nonnegative.  Within a sorted batch, the first point that
+    can no longer win ends it, since every later one costs at least as
+    much.  lambda is read off g, not carried through the sweep: C_i is
+    sign_i on its own segment and 0 on every other non-tree segment, so
+    lambda_i = sign_i * (g - f) on that segment.  It is rebuilt only for
+    points whose base cost is at most the incumbent's total.
     """
     graph = instance.base
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
@@ -276,6 +292,21 @@ def solve(instance: Instance) -> SolveReport:
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
+    pending: list[tuple[Cost, LambdaVector, Circulation]] = []
+
+    def repair_pending() -> None:
+        # cheapest first, so the incumbent tightens before the dearer points
+        nonlocal best
+        pending.sort(key=itemgetter(0, 1))
+        for base_cost, lam, g in pending:
+            if best is not None and (base_cost, lam) > best[:2]:
+                break  # neither this point nor any later one can win
+            st = connectivity_repair(inner, g)
+            total = base_cost + st.weight
+            if best is None or (total, lam) < best[:2]:
+                best = (total, lam, g, st)
+        pending.clear()
+
     for g in enumerate_candidates(f_seg, basis, r):
         base_cost = circulation_cost(inner, g)
         if best is not None and base_cost > best[0]:
@@ -283,10 +314,10 @@ def solve(instance: Instance) -> SolveReport:
         lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
         if best is not None and base_cost == best[0] and lam > best[1]:
             continue
-        st = connectivity_repair(inner, g)
-        total = base_cost + st.weight
-        if best is None or total < best[0] or (total == best[0] and lam < best[1]):
-            best = (total, lam, g, st)
+        pending.append((base_cost, lam, g))
+        if len(pending) == REPAIR_BATCH:
+            repair_pending()
+    repair_pending()
 
     total, lam, g, st = best
     if inner is not instance:

@@ -224,6 +224,49 @@ def test_solve_matches_the_reference_sweep():
     assert ranks == {0, 1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_any_repair_batch_matches_the_reference_sweep(monkeypatch, batch):
+    # batch 1 repairs every surviving point at once, in Gray order; batch 3
+    # flushes mid-run, so a later flush starts from an earlier incumbent
+    monkeypatch.setattr(cli_io, "REPAIR_BATCH", batch)
+    for i, instance in enumerate(sweep_cases()):
+        if i % 4 == 0 or i >= 500:
+            report = solve(instance)
+            assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
+
+
+def repaired_costs(monkeypatch, instance, batch):
+    """solve's report, and the base costs of the points it repairs on the
+    segment graph, in repair order."""
+    costs = []
+
+    def recorded(inner, g):
+        if inner is not instance:  # not the winner's repair on the base graph
+            costs.append(circulation_cost(inner, g))
+        return connectivity_repair(inner, g)
+
+    monkeypatch.setattr(cli_io, "connectivity_repair", recorded)
+    monkeypatch.setattr(cli_io, "REPAIR_BATCH", batch)
+    return solve(instance), costs
+
+
+def test_sweep_repairs_the_cheapest_points_first(monkeypatch):
+    # each box here fits in one batch, so repairs go in ascending base cost;
+    # with batch 1 they go in Gray order, one per point that beats the incumbent
+    default = cli_io.REPAIR_BATCH
+    fewer = 0
+    for size in range(16, 41, 4):
+        for family in ("cycle", "theta"):
+            instance = _family_instance(family, size, 1)
+            report, costs = repaired_costs(monkeypatch, instance, default)
+            assert report.candidates_evaluated <= default
+            assert costs == sorted(costs)
+            in_gray_order, gray_costs = repaired_costs(monkeypatch, instance, 1)
+            assert in_gray_order == report
+            fewer += len(costs) < len(gray_costs)
+    assert fewer >= 10
+
+
 def test_solve_breaks_total_cost_ties_on_the_smallest_lambda():
     # a draw where two lambda tie on the minimum base cost and on the total,
     # and Gray order meets the larger one first

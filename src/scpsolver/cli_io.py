@@ -259,20 +259,20 @@ def solve(instance: Instance) -> SolveReport:
 
     Every box point is priced once, in Gray order.  A point whose base cost
     is at most the incumbent's total joins a batch, and a full batch (and
-    the last one) is repaired in ascending (base cost, lambda) order, so
-    the cheapest points set the incumbent before the dearer ones are
-    reached: on relax-chain this repairs a third as many points as
-    repairing each one in Gray order.
+    the last one) is repaired in ascending base cost, so the cheapest
+    points set the incumbent before the dearer ones are reached: on
+    relax-chain this repairs a third as many points as repairing each one
+    in Gray order.
 
     Ties go to the lexicographically smallest lambda, whatever the order of
-    the sweep: a point is skipped only when its total cannot beat the
-    incumbent, or can only tie it with a larger lambda, because repair
-    weights are nonnegative.  Within a sorted batch, the first point that
-    can no longer win ends it, since every later one costs at least as
-    much.  lambda is read off g, not carried through the sweep: C_i is
-    sign_i on its own segment and 0 on every other non-tree segment, so
-    lambda_i = sign_i * (g - f) on that segment.  It is rebuilt only for
-    points whose base cost is at most the incumbent's total.
+    the sweep or of a batch: a point is skipped only when its total cannot
+    beat the incumbent, or can only tie it with a larger lambda, because
+    repair weights are nonnegative.  In a sorted batch, the first point
+    dearer than the incumbent's total ends it, since every later one costs
+    at least as much.  lambda is read off g, not carried through the
+    sweep: C_i is sign_i on its own segment and 0 on every other non-tree
+    segment, so lambda_i = sign_i * (g - f) on that segment.  It is rebuilt
+    only for the points of a batch that are reached.
     """
     graph = instance.base
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
@@ -292,31 +292,30 @@ def solve(instance: Instance) -> SolveReport:
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
-    pending: list[tuple[Cost, LambdaVector, Circulation]] = []
+    pending: list[tuple[Cost, Circulation]] = []
 
     def repair_pending() -> None:
         # cheapest first, so the incumbent tightens before the dearer points
         nonlocal best
-        pending.sort(key=itemgetter(0, 1))
-        for base_cost, lam, g in pending:
-            if best is not None and (base_cost, lam) > best[:2]:
-                break  # neither this point nor any later one can win
+        pending.sort(key=itemgetter(0))
+        for base_cost, g in pending:
+            if best is not None and base_cost > best[0]:
+                break  # repair weight is nonnegative: no point from here on can win
+            lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
+            if best is not None and base_cost == best[0] and lam > best[1]:
+                continue
             st = connectivity_repair(inner, g)
             total = base_cost + st.weight
-            if best is None or (total, lam) < best[:2]:
+            if best is None or total < best[0] or (total == best[0] and lam < best[1]):
                 best = (total, lam, g, st)
         pending.clear()
 
     for g in enumerate_candidates(f_seg, basis, r):
         base_cost = circulation_cost(inner, g)
-        if best is not None and base_cost > best[0]:
-            continue  # repair weight is nonnegative, candidate cannot win
-        lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
-        if best is not None and base_cost == best[0] and lam > best[1]:
-            continue
-        pending.append((base_cost, lam, g))
-        if len(pending) == REPAIR_BATCH:
-            repair_pending()
+        if best is None or base_cost <= best[0]:
+            pending.append((base_cost, g))
+            if len(pending) == REPAIR_BATCH:
+                repair_pending()
     repair_pending()
 
     total, lam, g, st = best

@@ -232,9 +232,8 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
 
 
 # solve repairs the surviving box points in batches of at most this many,
-# cheapest first.  A batch is held in memory, one circulation per point;
-# every relax-chain and bulk-demand box (r <= 2, at most 25 points) fits in
-# one.
+# cheapest first.  A batch is held in memory, one circulation per point; a
+# box of rank r <= 2 (at most 25 points) fits in one.
 REPAIR_BATCH = 64
 
 

@@ -226,7 +226,7 @@ def test_solve_matches_the_reference_sweep():
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_any_repair_batch_matches_the_reference_sweep(monkeypatch, batch):
-    # batch 1 repairs every surviving point at once, in Gray order; batch 3
+    # batch 1 repairs each surviving point as it is met, in Gray order; batch 3
     # flushes mid-run, so a later flush starts from an earlier incumbent
     monkeypatch.setattr(cli_io, "REPAIR_BATCH", batch)
     for i, instance in enumerate(sweep_cases()):

@@ -32,8 +32,8 @@ class Request:
 class Instance:
     """A base graph and its requests.
 
-    ``solve`` also builds one on the segment graph of its base graph (see
-    ``segment_instance``); the sweep and the repair read only the
+    ``solve`` sweeps one built on the segment graph of its base graph
+    (``segment_instance``); the sweep and the repair read only the
     ``vertex_count``, ``edges`` and ``edge_costs`` both graphs have.
     """
 

@@ -29,9 +29,9 @@ from .circulation import (
     segment_instance,
     support_connected,
 )
-# solve does not call gray_code_lambdas (run_acceptance counts its box with
-# it), but perfbench/tracing.py patches it in cli_io by name, so it stays
-# importable from here
+# solve calls neither gray_code_lambdas (run_acceptance counts its box with
+# it) nor fundamental_cycles, but perfbench/tracing.py patches both in cli_io
+# by name, so they stay importable from here
 from .enumeration import LambdaVector, enumerate_candidates, gray_code_lambdas
 from .graph_core import (
     BaseGraph,
@@ -249,12 +249,11 @@ def solve(instance: Instance) -> SolveReport:
     request endpoints kept), O(r + k + p + leaves) segments on which every
     circulation is constant: f and the fundamental cycles project onto it
     exactly, and so do candidate costs and repair weights, integer sums
-    being exact.  Only the winner is expanded to base edge flows; its
-    repair (when its support is split), its Euler multigraph and its tour
-    are built on the base graph, so reports do not depend on the
-    compression.  The base graph is swept instead when a cost is a float:
-    float sums along a chain would round differently, while the base sweep
-    adds every term in the same order as before.
+    being exact.  A float-cost instance keeps every vertex, so each segment
+    is one base edge and its float sums keep their order.  Only the winner
+    is expanded to base edge flows; its repair (when its support is split),
+    its Euler multigraph and its tour are built on the base graph, so
+    reports do not depend on the compression.
 
     Every box point is priced once, in Gray order.  A point whose base cost
     is at most the incumbent's total joins a batch, and a full batch (and
@@ -275,19 +274,17 @@ def solve(instance: Instance) -> SolveReport:
     """
     graph = instance.base
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
-    seg = smooth_topology(graph, {v for req in instance.requests for v in (req.source, req.target)})
+    exact = isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int)
+    keep = {v for req in instance.requests for v in (req.source, req.target)} if exact else range(1, n + 1)
+    seg = smooth_topology(graph, keep)
     r, k = seg.cycle_rank, seg.branch_count
     if p == 0:
         return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, ())
 
     tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
-    integer_costs = isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int)
-    if integer_costs:
-        inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
-        f_seg = Circulation(seg.project(f.edge_flow), f.arc_flow)
-    else:
-        inner, basis, f_seg = instance, fundamental_cycles(graph, tree), f
+    inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
+    f_seg = Circulation(seg.project(f.edge_flow), f.arc_flow)
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
@@ -318,10 +315,11 @@ def solve(instance: Instance) -> SolveReport:
     repair_pending()
 
     total, lam, g, st = best
-    if inner is not instance:
-        g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
-        if st.edge_ids:  # split support: repair again on the base graph, for base edge ids
-            st = connectivity_repair(instance, g)
+    if total == math.inf:  # finite costs whose float sum overflows; JSON has no infinity
+        raise RuntimeError("winning tour cost overflows to infinity")
+    g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
+    if st.edge_ids:  # split support: repair again on the base graph, for base edge ids
+        st = connectivity_repair(instance, g)
     tour = euler_tour(build_euler_multigraph(instance, g, st))
     if tour.total != total:
         raise RuntimeError("winning tour cost disagrees with candidate cost")
@@ -650,6 +648,9 @@ def main(argv: list[str] | None = None) -> int:
         return BAD_INPUT
     except RuntimeError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return FAIL
+    except MemoryError:  # a demand too large for its tour to fit in memory
+        print("solver error: out of memory", file=sys.stderr)
         return FAIL
     raise AssertionError("unreachable")
 

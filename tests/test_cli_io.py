@@ -718,6 +718,29 @@ def test_cli_solve_reports_solver_error_without_traceback(tmp_path, capsys):
     assert err == "solver error: winning tour cost disagrees with candidate cost\n"
 
 
+def test_cli_solve_refuses_a_float_total_that_overflows(tmp_path, capsys):
+    # every cost is finite, but the tour's total is not, and JSON has no infinity
+    f = tmp_path / "huge.scp"
+    f.write_text(
+        "scp 1\nn 3\nedge 1 2 1e308\nedge 2 3 1e308\nedge 1 3 1e308\nrequest 1 3 1e308 3\n",
+        encoding="utf-8",
+    )
+    assert main(["solve", str(f), "--json"]) == FAIL
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "solver error: winning tour cost overflows to infinity\n")
+
+
+def test_cli_solve_reports_out_of_memory_without_traceback(ring_file, capsys, monkeypatch):
+    # stands in for a demand whose tour does not fit in memory; nothing is allocated
+    def exhausted(instance):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_io, "solve", exhausted)
+    assert main(["solve", ring_file]) == FAIL
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "solver error: out of memory\n")
+
+
 def test_cli_oracle_match(ring_file, capsys):
     assert main(["oracle", ring_file]) == OK
     assert "match" in capsys.readouterr().out

@@ -18,8 +18,9 @@ import json
 import os
 import sys
 
-from scpsolver import BaseGraph, Instance, Request, emit_report, random_instance, shortest_path, solve
+from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, random_instance, shortest_path, solve
 from scpsolver.cli_io import _family_instance
+from scpsolver.graph_core import SegmentGraph
 from scpsolver.oracle import SplitMix64
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "report_digests.json")
@@ -112,18 +113,32 @@ def test_reports_match_golden_digests():
     assert not changed, f"{len(changed)} reports changed, first: {changed[:10]}"
 
 
-def test_segment_sweep_picks_the_base_sweeps_lambda():
+def test_segment_sweep_picks_the_base_sweeps_lambda(monkeypatch):
     # the sweep runs on segments with the projected basis; the reference runs
-    # on the base graph with fundamental_cycles, as solve did before segments
+    # on the base graph with fundamental_cycles, as solve did before segments.
+    # Float costs keep every vertex, so the tenths cases sweep segments too.
     from test_cli_io import reference_sweep
 
-    checked = 0
+    with open(DIGESTS, encoding="utf-8") as fh:
+        refused = {name for name, value in json.load(fh).items() if value.startswith("solver error: ")}
+    swept = set()
+    priced = cli_io.circulation_cost
+
+    def recording(instance, g):
+        swept.add(type(instance.base))
+        return priced(instance, g)
+
+    monkeypatch.setattr(cli_io, "circulation_cost", recording)
+    checked = floats = 0
     for name, instance in cases().items():
-        if name.startswith(("chain/", "family/")):
+        if name.startswith(("chain/", "family/", "tenths/")) and name not in refused:
             report = solve(instance)
             assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance), name
             checked += 1
-    assert checked == len(CHAIN_SIZES) * CHAINS_PER_SIZE + sum(map(len, FAMILY_SIZES.values()))
+            floats += name.startswith("tenths/")
+    assert swept == {SegmentGraph}
+    assert floats == FLOAT_DRAWS + 1 - len(refused) == 10
+    assert checked == len(CHAIN_SIZES) * CHAINS_PER_SIZE + sum(map(len, FAMILY_SIZES.values())) + floats
 
 
 def test_golden_corpus_covers_refusals_and_long_tours():

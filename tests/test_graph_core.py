@@ -4,6 +4,7 @@ import pytest
 
 from scpsolver.graph_core import (
     BaseGraph,
+    Segment,
     UnionFind,
     component_roots,
     cycle_rank,
@@ -357,16 +358,24 @@ def project_cycle(seg, cycle, edge_count):
 
 
 def test_segment_basis_is_the_projected_base_basis():
-    for inst, keep in endpoint_instances(7, 80):
-        g = inst.base
-        tree = spanning_tree(g)
-        base = fundamental_cycles(g, tree)
-        seg = smooth_topology(g, keep)
-        basis = segment_basis(seg, tree)
-        assert len(basis.cycles) == len(base.cycles) == cycle_rank(g)
-        for own, cycle, eid, base_cycle in zip(basis.non_tree_edges, basis.cycles, base.non_tree_edges, base.cycles):
-            assert eid in seg.edges[own].edge_ids
-            assert cycle == project_cycle(seg, base_cycle, len(g.edges))
+    for inst, endpoints in endpoint_instances(7, 80):
+        every = range(1, inst.base.vertex_count + 1)
+        tenths = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
+        for g, keep in ((inst.base, endpoints), (inst.base, every), (tenths, every)):
+            tree = spanning_tree(g)
+            base = fundamental_cycles(g, tree)
+            seg = smooth_topology(g, keep)
+            basis = segment_basis(seg, tree)
+            assert len(basis.cycles) == len(base.cycles) == cycle_rank(g)
+            for own, cycle, eid, base_cycle in zip(basis.non_tree_edges, basis.cycles, base.non_tree_edges, base.cycles):
+                assert eid in seg.edges[own].edge_ids
+                assert cycle == project_cycle(seg, base_cycle, len(g.edges))
+            if keep is every:
+                # solve's segment graph for float costs: nothing is compressed,
+                # and the basis is the base one, each cycle in the same order
+                assert seg.edges == tuple(Segment(e.u, e.v, e.cost, (i,), (1,)) for i, e in enumerate(g.edges))
+                assert basis == base
+                assert [list(c.items()) for c in basis.cycles] == [list(c.items()) for c in base.cycles]
 
 
 # --- shortest paths ---

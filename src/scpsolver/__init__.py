@@ -1,104 +1,31 @@
-"""Exact stacker crane solver for graphs of fixed topology."""
+"""Exact stacker crane solver for graphs of fixed topology.
 
-from .circulation import (
-    Circulation,
-    Instance,
-    Request,
-    circulation_cost,
-    decompose,
-    initial_circulation,
-    is_elementary,
-    is_feasible,
-    min_cost_circulation,
-    support_connected,
-)
-from .cli_io import (
-    InstanceFormatError,
-    SolveReport,
-    emit_report,
-    format_instance,
-    parse_instance,
-    run_acceptance,
-    solve,
-)
-from .enumeration import enumerate_candidates, gray_code_lambdas
-from .graph_core import (
-    BaseGraph,
-    CycleBasis,
-    Edge,
-    SegmentGraph,
-    cycle_rank,
-    fundamental_cycles,
-    shortest_path,
-    smooth_topology,
-    spanning_tree,
-)
-from .homology_tour import (
-    SteinerSolution,
-    Step,
-    Tour,
-    build_euler_multigraph,
-    contract_support,
-    euler_tour,
-    min_steiner_tree,
-    steiner_preprocess,
-    tour_in_class,
-)
-from .oracle import (
-    OracleResult,
-    brute_force_circulation,
-    brute_force_steiner,
-    brute_force_tour,
-    make_tight_instance,
-    random_instance,
-    verify_tour,
-)
+The root exports the pipeline's front door and the oracles used to check it.
+Every other piece is imported from its submodule: ``graph_core``,
+``circulation``, ``enumeration``, ``homology_tour``, ``oracle`` and
+``cli_io``.
+"""
+
+from .circulation import Instance, Request
+from .cli_io import InstanceFormatError, SolveReport, emit_report, format_instance, parse_instance, solve
+from .graph_core import BaseGraph, cycle_rank, shortest_path
+from .oracle import brute_force_tour, random_instance, verify_tour
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseGraph",
-    "Circulation",
-    "CycleBasis",
-    "Edge",
     "Instance",
     "InstanceFormatError",
-    "OracleResult",
     "Request",
-    "SegmentGraph",
     "SolveReport",
-    "SteinerSolution",
-    "Step",
-    "Tour",
-    "brute_force_circulation",
-    "brute_force_steiner",
     "brute_force_tour",
-    "build_euler_multigraph",
-    "circulation_cost",
-    "contract_support",
     "cycle_rank",
-    "decompose",
     "emit_report",
-    "enumerate_candidates",
-    "euler_tour",
     "format_instance",
-    "fundamental_cycles",
-    "gray_code_lambdas",
-    "initial_circulation",
-    "is_elementary",
-    "is_feasible",
-    "make_tight_instance",
-    "min_cost_circulation",
-    "min_steiner_tree",
     "parse_instance",
     "random_instance",
-    "run_acceptance",
     "shortest_path",
-    "smooth_topology",
     "solve",
-    "spanning_tree",
-    "steiner_preprocess",
-    "support_connected",
-    "tour_in_class",
     "verify_tour",
 ]

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import NamedTuple
 
@@ -79,24 +81,17 @@ def zero_circulation(instance: Instance) -> Circulation:
     return Circulation((0,) * len(instance.base.edges), (0,) * len(instance.requests))
 
 
-def _vertex_balance(instance: Instance, f: Circulation) -> dict[int, int | float]:
-    """Net outflow per vertex; zero everywhere means conservation."""
-    bal: dict[int, int | float] = {v: 0 for v in range(1, instance.base.vertex_count + 1)}
-    for eid, e in enumerate(instance.base.edges):
-        bal[e.u] += f.edge_flow[eid]
-        bal[e.v] -= f.edge_flow[eid]
-    for aid, r in enumerate(instance.requests):
-        bal[r.source] += f.arc_flow[aid]
-        bal[r.target] -= f.arc_flow[aid]
-    return bal
+def _conserves(vertex_count: int, flows: Iterable[tuple[int, int, int]]) -> bool:
+    """True when the (tail, head, flow) triples leave every vertex balanced."""
+    bal = [0] * (vertex_count + 1)
+    for u, v, x in flows:
+        bal[u] += x
+        bal[v] -= x
+    return not any(bal)
 
 
 def edge_flow_conserves(graph: BaseGraph, edge_flow: tuple[int, ...]) -> bool:
-    bal = {v: 0 for v in range(1, graph.vertex_count + 1)}
-    for eid, e in enumerate(graph.edges):
-        bal[e.u] += edge_flow[eid]
-        bal[e.v] -= edge_flow[eid]
-    return all(b == 0 for b in bal.values())
+    return _conserves(graph.vertex_count, ((e.u, e.v, edge_flow[eid]) for eid, e in enumerate(graph.edges)))
 
 
 def is_feasible(instance: Instance, f: Circulation) -> bool:
@@ -107,7 +102,9 @@ def is_feasible(instance: Instance, f: Circulation) -> bool:
         return False
     if any(f.arc_flow[aid] != r.demand for aid, r in enumerate(instance.requests)):
         return False
-    return all(b == 0 for b in _vertex_balance(instance, f).values())
+    edges = ((e.u, e.v, x) for e, x in zip(instance.base.edges, f.edge_flow))
+    arcs = ((r.source, r.target, x) for r, x in zip(instance.requests, f.arc_flow))
+    return _conserves(instance.base.vertex_count, chain(edges, arcs))
 
 
 def segment_instance(instance: Instance, seg: SegmentGraph) -> Instance:

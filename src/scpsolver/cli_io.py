@@ -387,18 +387,24 @@ def parse_report(text: str) -> tuple[Cost, Tour]:
     """Read back the JSON report's cost and tour for re-validation.
 
     Every step's ``kind`` must be a str and its ``from``, ``to`` and ``id``
-    ints (not bools); anything else raises TypeError, a missing field
-    KeyError.  The tour has one key per distinct step, as from euler_tour.
+    ints (not bools), and the cost an int or a float; anything else raises
+    TypeError, a missing field KeyError.  A float cost that is not finite
+    (``Infinity``, ``NaN``, ``1e400``) raises ValueError.  The tour has one
+    key per distinct step, as from euler_tour.
     """
     obj = json.loads(text)
-    steps = obj["steps"]
+    cost, steps = obj["cost"], obj["steps"]
+    if type(cost) not in (int, float):
+        raise TypeError(f"cost {cost!r} is not a number")
+    if type(cost) is float and not math.isfinite(cost):
+        raise ValueError(f"cost {cost!r} is not finite")
     for field, want in (("kind", str), ("from", int), ("to", int), ("id", int)):
         if not set(map(type, map(itemgetter(field), steps))) <= {want}:
             raise TypeError(f"step field {field!r} is not of type {want.__name__}")
     key = itemgetter("kind", "from", "to", "id")
     index = {k: i for i, k in enumerate(dict.fromkeys(map(key, steps)))}
     walk = tuple(map(index.__getitem__, map(key, steps)))
-    return obj["cost"], Tour.from_runs(tuple(index), ((walk, 1),) if walk else (), obj["cost"])
+    return cost, Tour.from_runs(tuple(index), ((walk, 1),) if walk else (), cost)
 
 
 def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
@@ -601,9 +607,10 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "check":
             instance = parse_instance(_read(args.file))
+            text = _read(args.report)
             try:
-                cost, tour = parse_report(_read(args.report))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                cost, tour = parse_report(text)
+            except (ValueError, KeyError, TypeError) as exc:
                 print(f"malformed report: {exc}", file=sys.stderr)
                 return BAD_INPUT
             check = verify_tour(instance, tour)

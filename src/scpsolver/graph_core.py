@@ -132,9 +132,6 @@ class BaseGraph:
         """Edge costs indexed by edge_id."""
         return tuple(e.cost for e in self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class CycleBasis:
@@ -300,11 +297,6 @@ def rooted_tree(graph: BaseGraph, tree: frozenset[int]) -> RootedTree:
     if min(depth[1:]) < 0:
         raise ValueError("edge set is not a spanning tree")
     return RootedTree(tuple(parent), tuple(parent_edge), tuple(depth))
-
-
-def tree_path(graph: BaseGraph, tree: frozenset[int], source: int, target: int) -> list[tuple[int, int, int]]:
-    """Directed steps (from, to, edge_id) along the unique tree path."""
-    return rooted_tree(graph, tree).path(source, target)
 
 
 def fundamental_cycles(graph: BaseGraph, tree: frozenset[int]) -> CycleBasis:

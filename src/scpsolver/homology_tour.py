@@ -242,6 +242,14 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
     Every subset induces a subgraph whose spanning tree (when one exists) is
     a Steiner tree candidate; the optimum uses some subset, so the sweep is
     exhaustive.  Kruskal with a fixed edge order keeps the witness stable.
+
+    The witness has no Steiner leaf, so it needs no pruning.  Masks run in
+    ascending order and ``best`` moves only on a strictly smaller weight, so
+    the witness is the Kruskal tree of the first mask M that reaches the
+    optimum W.  Were a Steiner vertex v a leaf of that tree, dropping v and
+    its edge would leave a tree of weight at most W (weights are never
+    negative) on the vertices of M without v, so that smaller mask's Kruskal
+    tree would weigh W too and M would not be first.
     """
     if not terminals:
         raise ValueError("terminal set is empty")
@@ -269,23 +277,6 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
                 weight += w
         if len(chosen) != len(nodes) - 1:
             continue  # subset does not induce a connected subgraph
-        while True:
-            degree: dict[int, int] = {}
-            for i in chosen:
-                u, v, _, _ = graph.edges[i]
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            prunable = [
-                i
-                for i in chosen
-                if (degree[graph.edges[i][0]] == 1 and graph.edges[i][0] not in terminals)
-                or (degree[graph.edges[i][1]] == 1 and graph.edges[i][1] not in terminals)
-            ]
-            if not prunable:
-                break
-            for i in prunable:
-                chosen.remove(i)
-                weight -= graph.edges[i][2]
         if best is None or weight < best[0]:
             origins: set[int] = set()
             for i in chosen:

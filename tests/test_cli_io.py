@@ -570,7 +570,7 @@ def test_segment_sweep_solves_20000_vertex_chains(family, monkeypatch):
     report = solve(inst)
     # segments = segment vertices - 1 + r, and the segment vertices are the
     # k branch vertices, the leaves and at most 2p request endpoints
-    leaves = sum(graph.degree(v) == 1 for v in range(1, graph.vertex_count + 1))
+    leaves = sum(len(graph.adjacency[v]) == 1 for v in range(1, graph.vertex_count + 1))
     (segments,) = swept
     assert segments <= report.r + report.k + 2 * p + leaves - 1
     check = verify_tour(inst, report.tour)
@@ -781,7 +781,17 @@ def test_cli_check_flags_tampered_steps(ring_file, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,bad",
-    [('"id":0', '"id":0.5'), ('"id":0', '"id":true'), ('"from":1', '"from":"1"'), ('"kind":"request"', '"kind":1')],
+    [
+        ('"id":0', '"id":0.5'),
+        ('"id":0', '"id":true'),
+        ('"from":1', '"from":"1"'),
+        ('"kind":"request"', '"kind":1'),
+        ('"cost":2', '"cost":Infinity'),
+        ('"cost":2', '"cost":NaN'),
+        ('"cost":2', '"cost":1e400'),
+        ('"cost":2', '"cost":true'),
+        ('"cost":2', '"cost":"2"'),
+    ],
 )
 def test_cli_check_rejects_step_fields_of_the_wrong_type(tmp_path, capsys, field, bad):
     instance_path = tmp_path / "one-edge.scp"

@@ -9,11 +9,11 @@ from scpsolver.graph_core import (
     component_roots,
     cycle_rank,
     fundamental_cycles,
+    rooted_tree,
     segment_basis,
     shortest_path,
     smooth_topology,
     spanning_tree,
-    tree_path,
 )
 from scpsolver.oracle import SplitMix64, random_instance
 
@@ -121,7 +121,7 @@ def test_spanning_tree_disconnected_raises():
 def test_tree_path_chains():
     g = theta_graph()
     tree = spanning_tree(g)
-    steps = tree_path(g, tree, 4, 5)
+    steps = rooted_tree(g, tree).path(4, 5)
     assert steps[0][0] == 4 and steps[-1][1] == 5
     for a, b in zip(steps, steps[1:]):
         assert a[1] == b[0]

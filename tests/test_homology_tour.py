@@ -11,7 +11,7 @@ from scpsolver.circulation import (
 )
 from scpsolver.cli_io import solve
 from scpsolver.enumeration import enumerate_candidates
-from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, component_roots, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import (
     KIND_EDGE,
     KIND_REQUEST,
@@ -370,6 +370,34 @@ def test_steiner_matches_oracle_on_random_graphs():
         mine = min_steiner_tree(g, g.terminals)
         theirs = brute_force_steiner(g, g.terminals)
         assert mine.weight == theirs.cost
+
+
+def test_steiner_witness_is_a_tree_without_steiner_leaves_on_zero_weight_graphs():
+    # zero-weight edges make many trees tie at the optimum; the witness must
+    # still join every terminal, weigh what it claims and have no Steiner leaf
+    rng = SplitMix64(35)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        pairs = [(rng.randint(0, v - 1), v) for v in range(1, n)]
+        pairs += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.randint(0, 3) == 0]
+        edges, ids = [], 0
+        for u, v in pairs:
+            width = rng.randint(1, 2)
+            edges.append((u, v, 2 * rng.randint(0, 3), tuple(range(ids, ids + width))))
+            ids += width
+        terminals = frozenset(rng.randint(0, n - 1) for _ in range(rng.randint(1, n)))
+        g = ReducedGraph(tuple(range(n)), terminals, tuple(edges))
+        sol = min_steiner_tree(g, terminals)
+        chosen = [e for e in edges if e[3][0] in sol.edge_ids]
+        assert sol.edge_ids == {i for e in chosen for i in e[3]}
+        assert sum(e[2] for e in chosen) == sol.weight == brute_force_steiner(g, terminals).cost
+        roots = component_roots(n, ((u, v) for u, v, _, _ in chosen))
+        assert len({roots[t] for t in terminals}) == 1
+        degree = [0] * n
+        for u, v, _, _ in chosen:
+            degree[u] += 1
+            degree[v] += 1
+        assert all(degree[v] != 1 for v in range(n) if v not in terminals)
 
 
 def test_steiner_weight_never_rises_with_an_extra_edge():

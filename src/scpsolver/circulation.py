@@ -14,15 +14,18 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .graph_core import BaseGraph, Cost, CycleBasis, SegmentGraph, component_roots, rooted_tree
 
 
-@dataclass(frozen=True)
-class Request:
-    """Directed transport request from source to target with a unit cost."""
+class Request(NamedTuple):
+    """Directed transport request from source to target with a unit cost.
+
+    A named tuple, like ``Edge``, so the parser builds one without running a
+    Python-level constructor.
+    """
 
     source: int
     target: int
@@ -180,15 +183,16 @@ def min_cost_circulation(instance: Instance) -> Circulation:
     returned, are deterministic.
     """
     graph = instance.base
-    demands = tuple(r.demand for r in instance.requests)
+    demands = tuple(map(itemgetter(3), instance.requests))
     n = graph.vertex_count
-    # Float costs are dyadic rationals, so one common denominator turns every
-    # cost into an exact integer weight (the scale is 1 for integer costs).
-    ratios = [e.cost.as_integer_ratio() for e in graph.edges]
-    scale = math.lcm(*(den for _, den in ratios))
-    weight = [num * (scale // den) for num, den in ratios]
+    weight = graph.edge_costs
+    if not isinstance(sum(weight), int):
+        # Float costs are dyadic rationals, so one common denominator turns
+        # every cost into an exact integer weight.
+        ratios = [c.as_integer_ratio() for c in weight]
+        scale = math.lcm(*(den for _, den in ratios))
+        weight = [num * (scale // den) for num, den in ratios]
     adjacency = graph.adjacency
-    tails = [e.u for e in graph.edges]
 
     excess = [0] * (n + 1)
     for r in instance.requests:
@@ -220,9 +224,10 @@ def min_cost_circulation(instance: Instance) -> Circulation:
             for w, eid in adjacency[v]:
                 if dist[w] >= 0:
                     continue
-                # sign: effect of one unit pushed v -> w on the signed edge flow;
-                # against existing flow the push is a refund and costs -c
-                sign = 1 if v == tails[eid] else -1
+                # sign: effect of one unit pushed v -> w on the signed edge flow
+                # (forward from the lower end); against existing flow the push
+                # is a refund and costs -c
+                sign = 1 if v < w else -1
                 c = -weight[eid] if sign * flows[eid] < 0 else weight[eid]
                 nd = dv + c - pot[w]
                 if nd < best[w]:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -36,6 +37,7 @@ from .enumeration import LambdaVector, enumerate_candidates, gray_code_lambdas
 from .graph_core import (
     BaseGraph,
     Cost,
+    Edge,
     cycle_rank,
     fundamental_cycles,
     segment_basis,
@@ -46,6 +48,7 @@ from .graph_core import (
 from .homology_tour import (
     KIND_REQUEST,
     SteinerSolution,
+    StepKey,
     Tour,
     build_euler_multigraph,
     connectivity_repair,
@@ -129,60 +132,69 @@ def parse_instance(text: str) -> Instance:
     line must come before any ``edge u v cost`` or ``request s t cost
     [demand]`` line.  Duplicate request pairs merge into one request with
     summed demand.
+
+    Each line is split once.  An ``edge`` or ``request`` line converts its
+    three numbers with ``int`` and range-checks its two vertices inline; only
+    a line that fails there (a float cost, a bad token, a vertex out of
+    range) goes through ``_vertex`` and ``_number``, which raise the line's
+    error or parse its float cost.
     """
     have_header = False
     n: int | None = None
-    triples: list[tuple[int, int, Cost]] = []
+    edges: list[Edge] = []
     edge_pairs: set[tuple[int, int]] = set()
     merged: dict[tuple[int, int], list] = {}  # (s, t) -> [cost, demand]
+    new = tuple.__new__
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
         tokens = line.split()
+        if not tokens:
+            continue
         if not have_header:
             if tokens != ["scp", "1"]:
                 raise InstanceFormatError(line_no, "bad-header", "expected header 'scp 1'")
             have_header = True
             continue
         directive = tokens[0]
-        if directive == "n":
-            if n is not None:
-                raise InstanceFormatError(line_no, "bad-size", "vertex count given twice")
-            if len(tokens) != 2:
-                raise InstanceFormatError(line_no, "bad-size", "expected 'n <count>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise InstanceFormatError(line_no, "bad-size", f"bad vertex count {tokens[1]!r}") from None
-            if n < 1:
-                raise InstanceFormatError(line_no, "bad-size", "vertex count must be positive")
-        elif directive == "edge":
+        if directive == "edge":
             if n is None:
                 raise InstanceFormatError(line_no, "missing-size", "edge before 'n' line")
             if len(tokens) != 4:
                 raise InstanceFormatError(line_no, "bad-token", "expected 'edge u v cost'")
-            u = _vertex(tokens[1], n, line_no)
-            v = _vertex(tokens[2], n, line_no)
-            cost = _number(tokens[3], line_no, "edge cost")
+            try:
+                u, v, cost = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                fast = 0 < u <= n and 0 < v <= n
+            except ValueError:
+                fast = False
+            if not fast:
+                u = _vertex(tokens[1], n, line_no)
+                v = _vertex(tokens[2], n, line_no)
+                cost = _number(tokens[3], line_no, "edge cost")
             if u == v:
                 raise InstanceFormatError(line_no, "self-loop", f"self-loop at vertex {u}")
             if cost < 0:
                 raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {cost}")
-            pair = (min(u, v), max(u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in edge_pairs:
                 raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
             edge_pairs.add(pair)
-            triples.append((u, v, cost))
+            edges.append(new(Edge, (*pair, cost)))
         elif directive == "request":
             if n is None:
                 raise InstanceFormatError(line_no, "missing-size", "request before 'n' line")
             if len(tokens) not in (4, 5):
                 raise InstanceFormatError(line_no, "bad-token", "expected 'request s t cost [demand]'")
-            s = _vertex(tokens[1], n, line_no)
-            t = _vertex(tokens[2], n, line_no)
-            cost = _number(tokens[3], line_no, "request cost")
+            try:
+                s, t, cost = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                fast = 0 < s <= n and 0 < t <= n
+            except ValueError:
+                fast = False
+            if not fast:
+                s = _vertex(tokens[1], n, line_no)
+                t = _vertex(tokens[2], n, line_no)
+                cost = _number(tokens[3], line_no, "request cost")
             if s == t:
                 raise InstanceFormatError(line_no, "self-loop", f"request with equal endpoints {s}")
             if cost < 0:
@@ -202,6 +214,17 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(line_no, "conflicting-request-cost", f"request ({s}, {t}) repeated with a different cost")
             else:
                 slot[1] += demand
+        elif directive == "n":
+            if n is not None:
+                raise InstanceFormatError(line_no, "bad-size", "vertex count given twice")
+            if len(tokens) != 2:
+                raise InstanceFormatError(line_no, "bad-size", "expected 'n <count>'")
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise InstanceFormatError(line_no, "bad-size", f"bad vertex count {tokens[1]!r}") from None
+            if n < 1:
+                raise InstanceFormatError(line_no, "bad-size", "vertex count must be positive")
         else:
             raise InstanceFormatError(line_no, "unknown-directive", f"unknown directive {directive!r}")
 
@@ -209,13 +232,13 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(0, "bad-header", "missing header 'scp 1'")
     if n is None:
         raise InstanceFormatError(0, "missing-size", "missing 'n' line")
-    if n > len(triples) + 1:
+    if n > len(edges) + 1:
         # refused before the adjacency of a huge vertex count is built
-        raise InstanceFormatError(0, "not-connected", f"{len(triples)} edges cannot connect {n} vertices")
-    graph = BaseGraph.from_edges(n, triples)
+        raise InstanceFormatError(0, "not-connected", f"{len(edges)} edges cannot connect {n} vertices")
+    graph = BaseGraph(n, tuple(edges))
     if not graph.connected:
         raise InstanceFormatError(0, "not-connected", "graph is not connected")
-    requests = tuple(Request(s, t, cost, demand) for (s, t), (cost, demand) in merged.items())
+    requests = tuple([new(Request, (s, t, cost, demand)) for (s, t), (cost, demand) in merged.items()])
     return Instance(graph, requests)
 
 
@@ -326,23 +349,28 @@ def solve(instance: Instance) -> SolveReport:
     return SolveReport(tour, total, n, m, p, r, k, (2 * r + 1) ** r, lam)
 
 
-def _step_pieces(tour: Tour, render, end: str) -> list[str]:
-    """Strings that concatenate to render(step) + end for every step of the tour.
+def _step_pieces(tour: Tour, rendered: list[str]) -> list[str]:
+    """Strings that concatenate to every step of the tour, rendered[i] being
+    the string for key i.
 
-    render(kind, source, target, ref) runs once per key of the tour and each
-    run's steps are joined once; that string is then listed once per copy of
-    the run, so only C-level list repetition and the caller's final join
-    grow with the number of traversals, and no other long string is built.
+    Each run's steps are joined once; that string is then listed once per
+    copy of the run, so only C-level list repetition and the caller's final
+    join grow with the number of traversals, and no other long string is
+    built.
     """
-    rendered = [render(*key) + end for key in tour.keys]
     pieces: list[str] = []
     for seq, copies in tour.runs:
         pieces += ["".join(map(rendered.__getitem__, seq))] * copies
     return pieces
 
 
-def _json_step(kind: str, source: int, target: int, ref: int) -> str:
-    return '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (source, ref, encode_basestring_ascii(kind), target)
+def _json_steps(keys: Sequence[StepKey]) -> list[str]:
+    """Each key's canonical JSON step and a comma, from one % template per kind."""
+    templates = {
+        kind: '{"from":%%d,"id":%%d,"kind":%s,"to":%%d},' % encode_basestring_ascii(kind).replace("%", "%%")
+        for kind in set(map(itemgetter(0), keys))
+    }
+    return [templates[kind] % (source, ref, target) for kind, source, target, ref in keys]
 
 
 def _text_step(kind: str, source: int, target: int, ref: int) -> str:
@@ -355,22 +383,22 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
 
     Neither form carries wall-clock time.  JSON keeps an empty
     ``"timings_ms":{}`` so its bytes match earlier reports; per-layer times
-    come from ``perfbench/run.py --trace 1``.
+    come from ``perfbench/run.py --trace 1``.  The JSON form is written
+    directly, with the bytes of ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))``; the cost goes through ``json.dumps`` itself,
+    so a float cost keeps its exact text.
     """
     if fmt == "json":
-        payload = {
-            "cost": report.cost,
-            "parameters": {"n": report.n, "m": report.m, "p": report.p, "r": report.r, "k": report.k},
-            "candidates_evaluated": report.candidates_evaluated,
-            "winning_lambda": list(report.winning_lambda),
-            "steps": [],
-            "timings_ms": {},
-        }
-        head, tail = json.dumps(payload, sort_keys=True, separators=(",", ":")).split('"steps":[]', 1)
-        pieces = _step_pieces(report.tour, _json_step, ",")
+        # keys in sorted order, no spaces
+        head = '{"candidates_evaluated":%d,"cost":%s,"parameters":{"k":%d,"m":%d,"n":%d,"p":%d,"r":%d},"steps":[' % (
+            report.candidates_evaluated, json.dumps(report.cost),
+            report.k, report.m, report.n, report.p, report.r,
+        )
+        pieces = _step_pieces(report.tour, _json_steps(report.tour.keys))
         if pieces:
             pieces[-1] = pieces[-1][:-1]  # no comma after the last step
-        return "".join((head, '"steps":[', *pieces, "]", tail, "\n"))
+        tail = '],"timings_ms":{},"winning_lambda":[%s]}\n' % ",".join(map(str, report.winning_lambda))
+        return "".join((head, *pieces, tail))
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [
@@ -380,7 +408,8 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
         f"lambda {list(report.winning_lambda)}",
         "steps:",
     ]
-    return "".join(("\n".join(lines), "\n", *_step_pieces(report.tour, _text_step, "\n")))
+    rendered = [_text_step(*key) + "\n" for key in report.tour.keys]
+    return "".join(("\n".join(lines), "\n", *_step_pieces(report.tour, rendered)))
 
 
 def parse_report(text: str) -> tuple[Cost, Tour]:
@@ -658,6 +687,9 @@ def main(argv: list[str] | None = None) -> int:
         return FAIL
     except MemoryError:  # a demand too large for its tour to fit in memory
         print("solver error: out of memory", file=sys.stderr)
+        return FAIL
+    except OverflowError as exc:  # a copy count too large even to index a list
+        print(f"solver error: number too large: {exc}", file=sys.stderr)
         return FAIL
     raise AssertionError("unreachable")
 

@@ -31,22 +31,23 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:  # path halving: every other node skips a level
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a: int, b: int) -> bool:
         """Join the components of a and b; False when they were one already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        parent = self.parent
+        while parent[a] != a:  # find, inlined
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        if ra < rb:
-            self.parent[rb] = ra
+        if a < b:
+            parent[b] = a
         else:
-            self.parent[ra] = rb
+            parent[a] = b
         return True
 
 
@@ -55,20 +56,31 @@ def component_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     joined by the given pairs.
 
     Since ``parent[v] <= v``, one ascending pass resolves every vertex after
-    its parent, with no further finds.
+    its parent, with no further finds.  The unions are ``UnionFind.union``'s,
+    inlined.
     """
-    uf = UnionFind(size)
+    parent = list(range(size))
     for a, b in pairs:
-        uf.union(a, b)
-    parent = uf.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
     for v in range(size):
         parent[v] = parent[parent[v]]
     return parent
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge; (u, v) with u < v is also the forward orientation."""
+class Edge(NamedTuple):
+    """Undirected edge; (u, v) with u < v is also the forward orientation.
+
+    A named tuple, like ``Circulation`` and ``Segment``: the parser and
+    ``BaseGraph.from_edges`` build one per edge with ``tuple.__new__``, which
+    runs no Python-level constructor.
+    """
 
     u: int
     v: int
@@ -89,34 +101,38 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
+        n = self.vertex_count
         seen: set[tuple[int, int]] = set()
         for e in self.edges:
-            if not (1 <= e.u <= self.vertex_count and 1 <= e.v <= self.vertex_count):
-                raise ValueError(f"edge endpoint out of range: {e}")
-            if e.u == e.v:
-                raise ValueError(f"self-loop not allowed: {e}")
-            if e.u > e.v:
-                raise ValueError(f"edge not in forward orientation: {e}")
-            if (e.u, e.v) in seen:
-                raise ValueError(f"parallel edge not allowed: {e}")
-            if e.cost < 0:
+            u, v, cost = e
+            if not 1 <= u < v <= n or (u, v) in seen or cost < 0:
+                # name the first failed check, in this order
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge endpoint out of range: {e}")
+                if u == v:
+                    raise ValueError(f"self-loop not allowed: {e}")
+                if u > v:
+                    raise ValueError(f"edge not in forward orientation: {e}")
+                if (u, v) in seen:
+                    raise ValueError(f"parallel edge not allowed: {e}")
                 raise ValueError(f"negative edge cost: {e}")
-            seen.add((e.u, e.v))
+            seen.add((u, v))
 
     @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, Cost]]) -> "BaseGraph":
         """Build a graph normalizing each (u, v, cost) triple to u < v."""
-        edges = tuple(Edge(min(u, v), max(u, v), cost) for u, v, cost in triples)
+        new = tuple.__new__
+        edges = tuple([new(Edge, (u, v, cost) if u < v else (v, u, cost)) for u, v, cost in triples])
         return cls(vertex_count, edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id."""
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertex_count + 1)}
-        for eid, e in enumerate(self.edges):
-            adj[e.u].append((e.v, eid))
-            adj[e.v].append((e.u, eid))
-        return {v: tuple(sorted(pairs)) for v, pairs in adj.items()}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count + 1)]
+        for eid, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return dict(zip(range(1, self.vertex_count + 1), map(tuple, map(sorted, adj[1:]))))
 
     @cached_property
     def connected(self) -> bool:
@@ -124,13 +140,13 @@ class BaseGraph:
 
         Cached, so the parser's check and ``cycle_rank``'s share one pass.
         """
-        roots = component_roots(self.vertex_count + 1, ((e.u, e.v) for e in self.edges))
+        roots = component_roots(self.vertex_count + 1, map(itemgetter(0, 1), self.edges))
         return roots.count(1) == self.vertex_count
 
     @cached_property
     def edge_costs(self) -> tuple[Cost, ...]:
         """Edge costs indexed by edge_id."""
-        return tuple(e.cost for e in self.edges)
+        return tuple(map(itemgetter(2), self.edges))
 
 
 @dataclass(frozen=True)
@@ -240,8 +256,7 @@ def spanning_tree(graph: BaseGraph) -> frozenset[int]:
     return frozenset(tree)
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """A spanning tree rooted at vertex 1, indexed by vertex id.
 
     ``parent[v]`` and ``parent_edge[v]`` lead one step toward the root and
@@ -343,13 +358,14 @@ def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
     # and last edges keeps it from being walked again from the other end
     used = [False] * len(graph.edges)
     segments: list[Segment] = []
+    new = tuple.__new__
     for start in ends:
         for v, eid in adjacency[start]:
             if used[eid]:
                 continue
             used[eid] = True
             if v in index:  # one edge, crossed forward from its lower end
-                segments.append(Segment(index[start], index[v], costs[eid], (eid,), (1,)))
+                segments.append(new(Segment, (index[start], index[v], costs[eid], (eid,), (1,))))
                 continue
             # an edge is crossed forward when the walk goes up in vertex id
             ids = [eid]
@@ -361,7 +377,7 @@ def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
                 signs.append(1 if x < v else -1)
             used[eid] = True
             cost = sum(map(costs.__getitem__, ids))
-            segments.append(Segment(index[start], index[v], cost, tuple(ids), tuple(signs)))
+            segments.append(new(Segment, (index[start], index[v], cost, tuple(ids), tuple(signs))))
     segments.sort(key=itemgetter(3))
     return SegmentGraph(ends, tuple(segments), rank, branch)
 

@@ -17,7 +17,8 @@ from scpsolver.circulation import (
     zero_circulation,
 )
 from scpsolver.cli_io import _family_instance
-from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, Edge, RootedTree, cycle_rank, fundamental_cycles, spanning_tree
+from scpsolver.homology_tour import SteinerSolution
 from scpsolver.oracle import (
     SplitMix64,
     brute_force_circulation,
@@ -84,6 +85,23 @@ def test_circulation_is_an_immutable_value():
         a.edge_flow = (0, 0, 0)
     with pytest.raises(AttributeError):
         a.extra = 1
+    # the other per-solve records keep the same value contract and field names
+    for make, fields, values, other in (
+        (Edge, ("u", "v", "cost"), (1, 2, 3), (1, 2, 4)),
+        (Request, ("source", "target", "cost", "demand"), (1, 2, 3, 1), (1, 2, 3, 2)),
+        (SteinerSolution, ("edge_ids", "weight"), (frozenset({0, 2}), 6), (frozenset({0}), 6)),
+        (RootedTree, ("parent", "parent_edge", "depth"), ((0, 0, 1), (-1, -1, 0), (-1, 0, 1)), ((0, 0, 1), (-1, -1, 0), (-1, 0, 2))),
+    ):
+        a, b = make(*values), make(*values)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, make
+        assert a != make(*other), make
+        assert make._fields == fields
+        assert tuple(getattr(a, name) for name in fields) == values
+        with pytest.raises(AttributeError):
+            setattr(a, fields[0], values[0])
+        with pytest.raises(AttributeError):
+            a.extra = 1
+    assert Request(1, 2, 3) == Request(1, 2, 3, 1)  # demand defaults to 1
 
 
 # --- cost and feasibility ---

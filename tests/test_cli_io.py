@@ -84,39 +84,69 @@ def test_parse_reads_demand_column():
 
 
 def test_parse_accepts_float_costs():
-    text = "scp 1\nn 2\nedge 1 2 1.5\nrequest 1 2 0.5\n"
+    # a float cost takes the parser's slow path; an integer one stays an int
+    text = "scp 1\nn 3\nedge 1 2 1.5\nedge 3 2 2\nrequest 1 2 0.5\nrequest 1 3 4\n"
     inst = parse_instance(text)
-    assert inst.base.edges[0].cost == 1.5
-    assert inst.requests[0].cost == 0.5
+    assert [(e.cost, type(e.cost)) for e in inst.base.edges] == [(1.5, float), (2, int)]
+    assert [(r.cost, type(r.cost)) for r in inst.requests] == [(0.5, float), (4, int)]
 
 
-@pytest.mark.parametrize(
-    "text,code,line_no",
-    [
-        ("n 2\nedge 1 2 1\n", "bad-header", 1),
-        ("scp 2\n", "bad-header", 1),
-        ("scp 1\nedge 1 2 1\n", "missing-size", 2),
-        ("scp 1\nn 2\nn 3\n", "bad-size", 3),
-        ("scp 1\nn 0\n", "bad-size", 2),
-        ("scp 1\nn 2\nedge 1 2\n", "bad-token", 3),
-        ("scp 1\nn 2\nedge 1 2 x\n", "bad-token", 3),
-        ("scp 1\nn 2\nedge 1 3 1\n", "bad-vertex", 3),
-        ("scp 1\nn 2\nedge 1 1 1\n", "self-loop", 3),
-        ("scp 1\nn 2\nedge 1 2 -1\n", "negative-cost", 3),
-        ("scp 1\nn 2\nedge 1 2 1\nedge 2 1 4\n", "duplicate-edge", 4),
-        ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 0\n", "bad-demand", 4),
-        ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3\nrequest 1 2 4\n", "conflicting-request-cost", 5),
-        ("scp 1\nn 2\nedge 1 2 1\nvertex 3\n", "unknown-directive", 4),
-        ("scp 1\n", "missing-size", 0),
-        ("", "bad-header", 0),
-        ("scp 1\nn 3\nedge 1 2 1\n", "not-connected", 0),
-    ],
-)
+def test_parse_splits_on_any_whitespace_and_line_ending():
+    # tabs between tokens, CRLF line ends and a comment right after a token
+    text = "scp 1\r\nn\t3\r\nedge 1\t2 4#four\r\nedge\t3 2\t1.5\r\n\t\r\nrequest 1 3\t5 2\r\n"
+    inst = parse_instance(text)
+    assert inst == parse_instance("scp 1\nn 3\nedge 1 2 4\nedge 2 3 1.5\nrequest 1 3 5 2\n")
+    e = inst.base.edges[1]
+    assert (e.u, e.v, e.cost) == (2, 3, 1.5) and inst.requests == (Request(1, 3, 5, 2),)
+
+
+# (text, code, line number, message) of every parse error pinned below
+PARSE_ERRORS = [
+    ("n 2\nedge 1 2 1\n", "bad-header", 1, "expected header 'scp 1'"),
+    ("scp 2\n", "bad-header", 1, "expected header 'scp 1'"),
+    ("scp 1\nedge 1 2 1\n", "missing-size", 2, "edge before 'n' line"),
+    ("scp 1\nn 2\nn 3\n", "bad-size", 3, "vertex count given twice"),
+    ("scp 1\nn 0\n", "bad-size", 2, "vertex count must be positive"),
+    ("scp 1\nn 2\nedge 1 2\n", "bad-token", 3, "expected 'edge u v cost'"),
+    ("scp 1\nn 2\nedge 1 2 x\n", "bad-token", 3, "edge cost is not a number: 'x'"),
+    ("scp 1\nn 2\nedge 1 3 1\n", "bad-vertex", 3, "vertex 3 outside 1..2"),
+    ("scp 1\nn 2\nedge 1 1 1\n", "self-loop", 3, "self-loop at vertex 1"),
+    ("scp 1\nn 2\nedge 1 2 -1\n", "negative-cost", 3, "negative edge cost -1"),
+    ("scp 1\nn 2\nedge 1 2 -1.5\n", "negative-cost", 3, "negative edge cost -1.5"),
+    ("scp 1\nn 2\nedge 1 2 1\nedge 2 1 4\n", "duplicate-edge", 4, "edge (1, 2) given twice"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 0\n", "bad-demand", 4, "demand must be positive"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 x\n", "bad-demand", 4, "bad demand 'x'"),
+    (
+        "scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3\nrequest 1 2 4\n",
+        "conflicting-request-cost", 5, "request (1, 2) repeated with a different cost",
+    ),
+    ("scp 1\nn 2\nedge 1 2 1\nvertex 3\n", "unknown-directive", 4, "unknown directive 'vertex'"),
+    ("scp 1\n", "missing-size", 0, "missing 'n' line"),
+    ("", "bad-header", 0, "missing header 'scp 1'"),
+    ("scp 1\nn 3\nedge 1 2 1\n", "not-connected", 0, "1 edges cannot connect 3 vertices"),
+    # request lines
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2\n", "bad-token", 4, "expected 'request s t cost [demand]'"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 x 3\n", "bad-token", 4, "vertex is not an integer: 'x'"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 y\n", "bad-token", 4, "request cost is not a number: 'y'"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 0 2 3\n", "bad-vertex", 4, "vertex 0 outside 1..2"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 2 2 3\n", "self-loop", 4, "request with equal endpoints 2"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 -3\n", "negative-cost", 4, "negative request cost -3"),
+    # within a line the first bad token wins, whichever check it fails
+    ("scp 1\nn 2\nedge 3 x 1\n", "bad-vertex", 3, "vertex 3 outside 1..2"),
+    ("scp 1\nn 2\nedge x 3 1\n", "bad-token", 3, "vertex is not an integer: 'x'"),
+    ("scp 1\nn 2\nedge 1 3 1.5\n", "bad-vertex", 3, "vertex 3 outside 1..2"),
+    ("scp 1\nn 2\nedge 2 2 x\n", "bad-token", 3, "edge cost is not a number: 'x'"),
+]
+PARSE_ERROR_MESSAGES = {text: message for text, _, _, message in PARSE_ERRORS}
+
+
+@pytest.mark.parametrize("text,code,line_no", [row[:3] for row in PARSE_ERRORS])
 def test_parse_errors_carry_codes_and_lines(text, code, line_no):
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance(text)
     assert exc.value.code == code
     assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {PARSE_ERROR_MESSAGES[text]} [{code}]"
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
@@ -739,6 +769,18 @@ def test_cli_solve_reports_out_of_memory_without_traceback(ring_file, capsys, mo
     assert main(["solve", ring_file]) == FAIL
     out, err = capsys.readouterr()
     assert (out, err) == ("", "solver error: out of memory\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_solve_refuses_a_demand_beyond_an_index_without_traceback(tmp_path, capsys, flags):
+    # a demand above sys.maxsize: writing its tour repeats a run more times
+    # than a list can hold, which raises OverflowError before allocating
+    f = tmp_path / "huge-demand.scp"
+    f.write_text("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 1 99999999999999999999\n", encoding="utf-8")
+    assert main(["solve", str(f), *flags]) == FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("solver error: ") and err.count("\n") == 1
 
 
 def test_cli_oracle_match(ring_file, capsys):

@@ -64,7 +64,7 @@ class Instance:
     @cached_property
     def arc_costs(self) -> tuple[Cost, ...]:
         """Request costs indexed by arc_id."""
-        return tuple(r.cost for r in self.requests)
+        return tuple(map(itemgetter(2), self.requests))
 
 
 class Circulation(NamedTuple):
@@ -209,6 +209,7 @@ def min_cost_circulation(instance: Instance) -> Circulation:
         dist = [-1] * (n + 1)
         best: list[float] = [math.inf] * (n + 1)
         pred: list[tuple[int, int, int] | None] = [None] * (n + 1)
+        settled: list[int] = []  # every vertex settled before the sink
         heap = [(0, v) for v in sources]
         for v in sources:
             best[v] = 0
@@ -220,6 +221,7 @@ def min_cost_circulation(instance: Instance) -> Circulation:
             if excess[v] < 0:
                 sink, reach = v, d
                 break
+            settled.append(v)
             dv = d + pot[v]
             for w, eid in adjacency[v]:
                 if dist[w] >= 0:
@@ -236,8 +238,12 @@ def min_cost_circulation(instance: Instance) -> Circulation:
                     push(heap, (nd, w))
         else:
             raise ValueError("graph not connected")
-        # capping at the sink's distance keeps every reduced cost nonnegative
-        pot = [p + (d if d >= 0 else reach) for p, d in zip(pot, dist)]
+        # adding each vertex's distance, capped at the sink's, keeps every
+        # reduced cost nonnegative; only differences of potentials count, so
+        # subtracting the cap from all of them leaves the unsettled ones as
+        # they are
+        for v in settled:
+            pot[v] += dist[v] - reach
 
         path: list[tuple[int, int]] = []
         v = sink

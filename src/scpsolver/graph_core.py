@@ -7,7 +7,6 @@ Vertices are integers 1..n.  Every edge gets a fixed forward orientation,
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -241,17 +240,18 @@ def cycle_rank(graph: BaseGraph) -> int:
 
 def spanning_tree(graph: BaseGraph) -> frozenset[int]:
     """BFS tree from the lowest vertex id, neighbors explored ascending."""
-    tree: set[int] = set()
-    visited = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w, eid in graph.adjacency[v]:
-            if w not in visited:
-                visited.add(w)
-                tree.add(eid)
+    adjacency = graph.adjacency
+    tree: list[int] = []
+    visited = [False] * (graph.vertex_count + 1)
+    visited[1] = True
+    queue = [1]
+    for v in queue:  # the list is the queue: appended to while read in order
+        for w, eid in adjacency[v]:
+            if not visited[w]:
+                visited[w] = True
+                tree.append(eid)
                 queue.append(w)
-    if len(visited) != graph.vertex_count:
+    if len(queue) != graph.vertex_count:
         raise ValueError("graph not connected")
     return frozenset(tree)
 

@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import attrgetter, itemgetter, mul
 from typing import NamedTuple
 
@@ -310,36 +310,38 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
     and the multigraph itself are per distinct arc, not per traversal.
     """
     graph = instance.base
+    edges, arc_flow, edge_flow = graph.edges, g.arc_flow, g.edge_flow
     distinct: list[Arc] = []
     copies: list[int] = []
     for aid, r in enumerate(instance.requests):
-        if g.arc_flow[aid] > 0:
+        if arc_flow[aid] > 0:
             distinct.append((r.source, r.target, KIND_REQUEST, aid, r.cost))
-            copies.append(g.arc_flow[aid])
-    for eid, e in enumerate(graph.edges):
-        val = g.edge_flow[eid]
-        if val == 0:
-            continue
-        tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
-        distinct.append((tail, head, KIND_EDGE, eid, e.cost))
+            copies.append(arc_flow[aid])
+    for eid in compress(range(len(edges)), edge_flow):  # the edges with flow
+        u, v, cost = edges[eid]
+        val = edge_flow[eid]
+        if val > 0:
+            distinct.append((u, v, KIND_EDGE, eid, cost))
+        else:
+            distinct.append((v, u, KIND_EDGE, eid, cost))
         copies.append(abs(val))
     for eid in sorted(st.edge_ids):
-        e = graph.edges[eid]
-        distinct.append((e.u, e.v, KIND_EDGE, eid, e.cost))
-        distinct.append((e.v, e.u, KIND_EDGE, eid, e.cost))
+        u, v, cost = edges[eid]
+        distinct.append((u, v, KIND_EDGE, eid, cost))
+        distinct.append((v, u, KIND_EDGE, eid, cost))
         copies += (1, 1)
 
     counts: dict[Arc, int] = {}
-    balance: dict[int, int] = {}
+    balance = [0] * (graph.vertex_count + 1)
     for arc, c in zip(distinct, copies):
         counts[arc] = counts.get(arc, 0) + c
-        tail, head = arc[0], arc[1]
-        balance[tail] = balance.get(tail, 0) + c
-        balance[head] = balance.get(head, 0) - c
-    if any(b != 0 for b in balance.values()):
+        balance[arc[0]] += c
+        balance[arc[1]] -= c
+    if any(balance):
         raise RuntimeError("euler multigraph is unbalanced")
-    roots = component_roots(graph.vertex_count + 1, map(itemgetter(0, 1), distinct))
-    if len({roots[v] for v in balance}) > 1:
+    pairs = list(map(itemgetter(0, 1), distinct))
+    roots = component_roots(graph.vertex_count + 1, pairs)
+    if len({roots[u] for u, _ in pairs}) > 1:
         raise RuntimeError("euler multigraph is disconnected")
     return EulerMultigraph.from_counts(counts)
 

@@ -126,12 +126,19 @@ class BaseGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id."""
+        """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id.
+
+        Edges are taken in ascending (u, v) order, so every vertex meets its
+        lower neighbors first and then its higher ones, each in ascending
+        order: no list needs sorting.
+        """
+        edges = self.edges
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count + 1)]
-        for eid, (u, v, _) in enumerate(self.edges):
+        for eid in sorted(range(len(edges)), key=edges.__getitem__):
+            u, v, _ = edges[eid]
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        return dict(zip(range(1, self.vertex_count + 1), map(tuple, map(sorted, adj[1:]))))
+        return dict(zip(range(1, self.vertex_count + 1), map(tuple, adj[1:])))
 
     @cached_property
     def connected(self) -> bool:

@@ -341,7 +341,7 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
         raise RuntimeError("euler multigraph is unbalanced")
     pairs = list(map(itemgetter(0, 1), distinct))
     roots = component_roots(graph.vertex_count + 1, pairs)
-    if len({roots[u] for u, _ in pairs}) > 1:
+    if len({roots[u] for u, _ in pairs}) > 1:  # balanced: every head is a tail too
         raise RuntimeError("euler multigraph is disconnected")
     return EulerMultigraph.from_counts(counts)
 

@@ -158,7 +158,18 @@ def parse_instance(text: str) -> Instance:
             have_header = True
             continue
         directive = tokens[0]
-        if directive == "edge":
+        if directive == "n":
+            if n is not None:
+                raise InstanceFormatError(line_no, "bad-size", "vertex count given twice")
+            if len(tokens) != 2:
+                raise InstanceFormatError(line_no, "bad-size", "expected 'n <count>'")
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise InstanceFormatError(line_no, "bad-size", f"bad vertex count {tokens[1]!r}") from None
+            if n < 1:
+                raise InstanceFormatError(line_no, "bad-size", "vertex count must be positive")
+        elif directive == "edge":
             if n is None:
                 raise InstanceFormatError(line_no, "missing-size", "edge before 'n' line")
             if len(tokens) != 4:
@@ -214,17 +225,6 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(line_no, "conflicting-request-cost", f"request ({s}, {t}) repeated with a different cost")
             else:
                 slot[1] += demand
-        elif directive == "n":
-            if n is not None:
-                raise InstanceFormatError(line_no, "bad-size", "vertex count given twice")
-            if len(tokens) != 2:
-                raise InstanceFormatError(line_no, "bad-size", "expected 'n <count>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise InstanceFormatError(line_no, "bad-size", f"bad vertex count {tokens[1]!r}") from None
-            if n < 1:
-                raise InstanceFormatError(line_no, "bad-size", "vertex count must be positive")
         else:
             raise InstanceFormatError(line_no, "unknown-directive", f"unknown directive {directive!r}")
 

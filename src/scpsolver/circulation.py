@@ -125,11 +125,8 @@ def circulation_cost(instance: Instance, f: Circulation) -> Cost:
     """Arc flow times request cost over the arcs, then |edge flow| times edge
     cost over the edges, added left to right from 0.
 
-    Both sums run at C level.  On Python 3.10 and 3.11 they add the same
-    terms in the same order as an interpreted loop, so int and float totals
-    are bit-identical to it.  Python 3.12 compensates float ``sum``, so
-    there a float total may differ from the loop's in the last bits; CI
-    runs 3.10 and 3.11 only.
+    Both sums run at C level.  Costs are exact, so the total does not
+    depend on the order of the terms.
     """
     arcs = sum(map(mul, f.arc_flow, instance.arc_costs))
     return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
@@ -177,8 +174,8 @@ def min_cost_circulation(instance: Instance) -> Circulation:
     first deficit vertex it settles, and pushes the bottleneck: the smaller
     of the excess and deficit at the two ends and the flow on any refund
     arc along the path.  Every round settles at least one unit of demand,
-    so it costs O(rounds * m log n) in all, and all arithmetic is on
-    integers.  Heap entries are (distance, vertex) and neighbours are
+    so it costs O(rounds * m log n) in all, and the edge costs are the
+    weights: ``solve`` hands it integers.  Heap entries are (distance, vertex) and neighbours are
     scanned in ascending order, so ties, and with them the optimum
     returned, are deterministic.
     """
@@ -186,12 +183,6 @@ def min_cost_circulation(instance: Instance) -> Circulation:
     demands = tuple(map(itemgetter(3), instance.requests))
     n = graph.vertex_count
     weight = graph.edge_costs
-    if not isinstance(sum(weight), int):
-        # Float costs are dyadic rationals, so one common denominator turns
-        # every cost into an exact integer weight.
-        ratios = [c.as_integer_ratio() for c in weight]
-        scale = math.lcm(*(den for _, den in ratios))
-        weight = [num * (scale // den) for num, den in ratios]
     adjacency = graph.adjacency
 
     excess = [0] * (n + 1)
@@ -207,7 +198,7 @@ def min_cost_circulation(instance: Instance) -> Circulation:
         # are nonnegative), best tentative distance, and (previous vertex,
         # edge id, sign) of the best path found
         dist = [-1] * (n + 1)
-        best: list[float] = [math.inf] * (n + 1)
+        best = [math.inf] * (n + 1)
         pred: list[tuple[int, int, int] | None] = [None] * (n + 1)
         settled: list[int] = []  # every vertex settled before the sink
         heap = [(0, v) for v in sources]

@@ -15,7 +15,9 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -102,17 +104,74 @@ class AcceptanceSummary:
         return all(o.failed == 0 for o in self.results.values())
 
 
+# the longest number token read exactly: Python's int-string limit, past
+# which exact conversion time grows with the square of the length
+MAX_DIGITS = 4300
+
+
+def _exact(token: str) -> Fraction:
+    """The exact value of a decimal number token: ``0.1`` is 1/10.
+
+    The token is any ``float()`` literal (``1_0.5``, ``.5``, ``5.``,
+    ``1E3``), on every Python version.  ValueError when it is not a number.
+    OverflowError when it has no finite exact value to read: ``nan``,
+    ``inf``, a literal that overflows a double (``1e400``) or that is
+    nonzero and rounds to 0.0 (``1e-400``), or one of more than MAX_DIGITS
+    digits.  Zero is decided before any power of ten is built, and any
+    other accepted token is within a double's range, so its power of ten
+    has at most a few thousand digits.
+    """
+    approx = float(token)
+    if not math.isfinite(approx):
+        raise OverflowError(f"is not finite: {token!r}")
+    if len(token) > MAX_DIGITS and sum(map(str.isdigit, token)) > MAX_DIGITS:
+        raise OverflowError(f"has more than {MAX_DIGITS} digits")
+    mantissa, _, exponent = token.replace("_", "").lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = int(whole + fraction)
+    if not digits:
+        return Fraction(0)
+    if not approx:
+        raise OverflowError(f"is nonzero but rounds to 0 as a double: {token!r}")
+    power = int(exponent or 0) - len(fraction)
+    return Fraction(digits * 10**power) if power >= 0 else Fraction(digits, 10**-power)
+
+
 def _number(token: str, line_no: int, what: str) -> Cost:
+    """A cost token's exact value: an int when it is integral, else a Fraction."""
     try:
-        return int(token)
+        value = _exact(token)
+    except OverflowError as exc:
+        raise InstanceFormatError(line_no, "non-finite-cost", f"{what} {exc}") from None
     except ValueError:
-        try:
-            value = float(token)
-        except ValueError:
-            raise InstanceFormatError(line_no, "bad-token", f"{what} is not a number: {token!r}") from None
-    if not math.isfinite(value):  # nan, inf, and literals like 1e400 that overflow to inf
-        raise InstanceFormatError(line_no, "non-finite-cost", f"{what} is not finite: {token!r}")
-    return value
+        raise InstanceFormatError(line_no, "bad-token", f"{what} is not a number: {token!r}") from None
+    return value.numerator if value.denominator == 1 else value
+
+
+def _cost_text(cost: Cost) -> str:
+    """A cost as instance and report text.
+
+    An int prints as ``str`` prints it (``json.dumps`` of an int is the
+    same).  Any other value, a Fraction or a library caller's float, prints
+    as its exact shortest plain decimal: ``11.9``, ``0.15``, ``-1.5``, and
+    ``12`` for an integral one.  ValueError for a value with no finite
+    decimal form, such as 1/3.
+    """
+    if isinstance(cost, int):
+        return str(cost)
+    value = Fraction(cost)
+    num, den = value.numerator, value.denominator
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        raise ValueError(f"cost {value} has no finite decimal form")
+    places = max(twos, fives)
+    text = str(abs(num) * 10**places // den).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{text[:-places]}.{text[-places:]}" if places else f"{sign}{text}"
 
 
 def _vertex(token: str, n: int, line_no: int) -> int:
@@ -135,9 +194,10 @@ def parse_instance(text: str) -> Instance:
 
     Each line is split once.  An ``edge`` or ``request`` line converts its
     three numbers with ``int`` and range-checks its two vertices inline; only
-    a line that fails there (a float cost, a bad token, a vertex out of
+    a line that fails there (a decimal cost, a bad token, a vertex out of
     range) goes through ``_vertex`` and ``_number``, which raise the line's
-    error or parse its float cost.
+    error or read its cost exactly: a non-integer cost is a Fraction, an
+    integral one (``2.0``, ``1e3``) an int.
     """
     have_header = False
     n: int | None = None
@@ -186,7 +246,7 @@ def parse_instance(text: str) -> Instance:
             if u == v:
                 raise InstanceFormatError(line_no, "self-loop", f"self-loop at vertex {u}")
             if cost < 0:
-                raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {cost}")
+                raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {_cost_text(cost)}")
             pair = (u, v) if u < v else (v, u)
             if pair in edge_pairs:
                 raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
@@ -209,7 +269,7 @@ def parse_instance(text: str) -> Instance:
             if s == t:
                 raise InstanceFormatError(line_no, "self-loop", f"request with equal endpoints {s}")
             if cost < 0:
-                raise InstanceFormatError(line_no, "negative-cost", f"negative request cost {cost}")
+                raise InstanceFormatError(line_no, "negative-cost", f"negative request cost {_cost_text(cost)}")
             demand = 1
             if len(tokens) == 5:
                 try:
@@ -247,10 +307,10 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     lines.append("scp 1")
     lines.append(f"n {instance.base.vertex_count}")
     for e in instance.base.edges:
-        lines.append(f"edge {e.u} {e.v} {e.cost}")
+        lines.append(f"edge {e.u} {e.v} {_cost_text(e.cost)}")
     for r in instance.requests:
         suffix = f" {r.demand}" if r.demand != 1 else ""
-        lines.append(f"request {r.source} {r.target} {r.cost}{suffix}")
+        lines.append(f"request {r.source} {r.target} {_cost_text(r.cost)}{suffix}")
     return "\n".join(lines) + "\n"
 
 
@@ -263,6 +323,14 @@ REPAIR_BATCH = 64
 def solve(instance: Instance) -> SolveReport:
     """Exact minimum-cost tour serving every request its demanded number of times.
 
+    Costs are exact, and this is the one place below the parser that looks
+    at their type.  An instance with a non-integer cost is scaled once, by
+    the lcm of its cost denominators (``0.1`` from the parser is 1/10; a
+    library caller's float is taken at its exact binary value, so write
+    ``Fraction("0.1")`` for a decimal), solved on those integers by a
+    second call, and its cost and tour total divided back.  Tour steps are
+    edge and arc ids, so they do not change.  Everything below sees ints.
+
     Sweeps g = f + sum(lambda_i * C_i) over the box [-r, r]^r around the
     relaxation f and keeps the cheapest base cost plus repair weight.
 
@@ -272,11 +340,10 @@ def solve(instance: Instance) -> SolveReport:
     request endpoints kept), O(r + k + p + leaves) segments on which every
     circulation is constant: f and the fundamental cycles project onto it
     exactly, and so do candidate costs and repair weights, integer sums
-    being exact.  A float-cost instance keeps every vertex, so each segment
-    is one base edge and its float sums keep their order.  Only the winner
-    is expanded to base edge flows; its repair (when its support is split),
-    its Euler multigraph and its tour are built on the base graph, so
-    reports do not depend on the compression.
+    being exact.  Only the winner is expanded to base edge flows; its
+    repair (when its support is split), its Euler multigraph and its tour
+    are built on the base graph, so reports do not depend on the
+    compression.
 
     Every box point is priced once, in Gray order.  A point whose base cost
     is at most the incumbent's total joins a batch, and a full batch (and
@@ -296,10 +363,23 @@ def solve(instance: Instance) -> SolveReport:
     only for the points of a batch that are reached.
     """
     graph = instance.base
+    if not isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int):
+        ratios = [c.as_integer_ratio() for c in chain(graph.edge_costs, instance.arc_costs)]
+        scale = math.lcm(*map(itemgetter(1), ratios))
+        costs = [num * (scale // den) for num, den in ratios]
+        m = len(graph.edges)
+        edges = tuple(Edge(e.u, e.v, c) for e, c in zip(graph.edges, costs))
+        requests = tuple(r._replace(cost=c) for r, c in zip(instance.requests, costs[m:]))
+        report = solve(Instance(BaseGraph(graph.vertex_count, edges), requests))
+        tour = report.tour
+        return replace(
+            report,
+            tour=Tour.from_runs(tour.keys, tour.runs, Fraction(tour.total, scale)),
+            cost=Fraction(report.cost, scale),
+        )
+
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
-    exact = isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int)
-    keep = {v for req in instance.requests for v in (req.source, req.target)} if exact else range(1, n + 1)
-    seg = smooth_topology(graph, keep)
+    seg = smooth_topology(graph, {v for req in instance.requests for v in (req.source, req.target)})
     r, k = seg.cycle_rank, seg.branch_count
     if p == 0:
         return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, ())
@@ -338,8 +418,6 @@ def solve(instance: Instance) -> SolveReport:
     repair_pending()
 
     total, lam, g, st = best
-    if total == math.inf:  # finite costs whose float sum overflows; JSON has no infinity
-        raise RuntimeError("winning tour cost overflows to infinity")
     g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
     if st.edge_ids:  # split support: repair again on the base graph, for base edge ids
         st = connectivity_repair(instance, g)
@@ -385,13 +463,13 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
     ``"timings_ms":{}`` so its bytes match earlier reports; per-layer times
     come from ``perfbench/run.py --trace 1``.  The JSON form is written
     directly, with the bytes of ``json.dumps(..., sort_keys=True,
-    separators=(",", ":"))``; the cost goes through ``json.dumps`` itself,
-    so a float cost keeps its exact text.
+    separators=(",", ":"))`` for an integer cost; any other cost is written
+    as its exact shortest plain decimal (``_cost_text``), in both forms.
     """
     if fmt == "json":
         # keys in sorted order, no spaces
         head = '{"candidates_evaluated":%d,"cost":%s,"parameters":{"k":%d,"m":%d,"n":%d,"p":%d,"r":%d},"steps":[' % (
-            report.candidates_evaluated, json.dumps(report.cost),
+            report.candidates_evaluated, _cost_text(report.cost),
             report.k, report.m, report.n, report.p, report.r,
         )
         pieces = _step_pieces(report.tour, _json_steps(report.tour.keys))
@@ -403,7 +481,7 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [
         f"n={report.n} m={report.m} p={report.p} r={report.r} k={report.k}",
-        f"cost {report.cost}",
+        f"cost {_cost_text(report.cost)}",
         f"candidates {report.candidates_evaluated}",
         f"lambda {list(report.winning_lambda)}",
         "steps:",
@@ -415,18 +493,21 @@ def emit_report(report: SolveReport, fmt: str = "text") -> str:
 def parse_report(text: str) -> tuple[Cost, Tour]:
     """Read back the JSON report's cost and tour for re-validation.
 
-    Every step's ``kind`` must be a str and its ``from``, ``to`` and ``id``
-    ints (not bools), and the cost an int or a float; anything else raises
-    TypeError, a missing field KeyError.  A float cost that is not finite
-    (``Infinity``, ``NaN``, ``1e400``) raises ValueError.  The tour has one
-    key per distinct step, as from euler_tour.
+    A number with a fraction or an exponent is read exactly, as the parser
+    reads a cost token, into a Fraction (``11.9`` is 119/10); one the parser
+    refuses (``1e400``, ``1e-400``) raises ValueError.  Every step's
+    ``kind`` must be a str and its ``from``, ``to`` and ``id`` ints (not
+    bools, not ``1.0``), and the cost an int or a Fraction (not ``NaN`` or
+    ``Infinity``); anything else raises TypeError, a missing field KeyError.
+    The tour has one key per distinct step, as from euler_tour.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text, parse_float=_exact)
+    except OverflowError as exc:
+        raise ValueError(f"number {exc}") from None
     cost, steps = obj["cost"], obj["steps"]
-    if type(cost) not in (int, float):
+    if type(cost) not in (int, Fraction):
         raise TypeError(f"cost {cost!r} is not a number")
-    if type(cost) is float and not math.isfinite(cost):
-        raise ValueError(f"cost {cost!r} is not finite")
     for field, want in (("kind", str), ("from", int), ("to", int), ("id", int)):
         if not set(map(type, map(itemgetter(field), steps))) <= {want}:
             raise TypeError(f"step field {field!r} is not of type {want.__name__}")
@@ -626,8 +707,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"oracle refused: {exc}", file=sys.stderr)
                 return FAIL
             report = solve(instance)
-            print(f"oracle cost {oracle.cost} ({oracle.nodes_explored} orders)")
-            print(f"solver cost {report.cost}")
+            print(f"oracle cost {_cost_text(oracle.cost)} ({oracle.nodes_explored} orders)")
+            print(f"solver cost {_cost_text(report.cost)}")
             if report.cost == oracle.cost:
                 print("match")
                 return OK
@@ -644,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
                 return BAD_INPUT
             check = verify_tour(instance, tour)
             if check.valid and check.cost == cost:
-                print(f"valid tour, cost {cost}")
+                print(f"valid tour, cost {_cost_text(cost)}")
                 return OK
             print(f"invalid tour: {check.reason or 'cost mismatch'}")
             return FAIL

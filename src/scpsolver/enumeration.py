@@ -9,10 +9,10 @@ built without running any Python-level constructor.
 
 The edges may be a base graph's or, as in ``cli_io.solve``, the segments of
 its segment graph (``graph_core.segment_basis`` projects the cycles): O(r +
-k + p + leaves) of them however long the chains are, or m if a float cost
-keeps every vertex.  The walk yields no coefficient vector alongside: each
-cycle is +1 or -1 on its own non-tree edge and 0 on every other, so a
-caller that needs lambda reads it off the candidate's non-tree flows.
+k + p + leaves) of them however long the chains are.  The walk yields no
+coefficient vector alongside: each cycle is +1 or -1 on its own non-tree
+edge and 0 on every other, so a caller that needs lambda reads it off the
+candidate's non-tree flows.
 
 Every box point is still yielded, and its caller still prices each one with
 ``circulation_cost`` (O(m + p)); together these are nearly all of a large

@@ -9,11 +9,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-Cost = int | float
+Cost = int | Fraction  # exact; cli_io.solve scales a Fraction instance to ints
 
 
 class UnionFind:

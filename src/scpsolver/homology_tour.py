@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat, starmap
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .circulation import Circulation, Instance, circulation_cost, support_connected, support_pairs
@@ -359,8 +359,7 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     of whose tails has an unused arc pops whole, any other pops down to the
     last such tail and the walk resumes there.  The popped runs become the
     Tour's runs as they are, so interpreted work is per distinct arc and per
-    run.  An integer total is summed per run too; only a float total, whose
-    rounding depends on the order, is a C-level sum over every traversal.
+    run.  The total is summed per run too, exact in any order.
     """
     counts = mg.counts
     if not counts:
@@ -441,16 +440,7 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     if any(left):
         raise RuntimeError("euler multigraph is disconnected")
     popped.reverse()  # runs leave the stack in reverse circuit order
-    if isinstance(sum(cost), int):
-        # integer sums are exact in any order, so each run is summed once
-        total = sum([sum(map(cost.__getitem__, seq)) * copies for seq, copies in popped])
-    else:
-        # lists, not tuples built from iterators: those are resized, and the
-        # interpreter's per-size tuple free lists then fill up and pin memory
-        run_costs = [list(map(cost.__getitem__, seq)) for seq, _ in popped]
-        # every traversal's cost, left to right as along the circuit, so a
-        # float total rounds exactly as a flat sum over the steps would
-        total = sum(chain.from_iterable(map(mul, run_costs, map(itemgetter(1), popped))))
+    total = sum([sum(map(cost.__getitem__, seq)) * copies for seq, copies in popped])
     return Tour.from_runs(list(zip(kind, tail, head, ref)), popped, total)
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -13,8 +15,10 @@ from scpsolver.circulation import Circulation, Instance, Request, circulation_co
 from scpsolver.cli_io import (
     BAD_INPUT,
     FAIL,
+    MAX_DIGITS,
     OK,
     InstanceFormatError,
+    _cost_text,
     _family_instance,
     emit_report,
     format_instance,
@@ -84,11 +88,89 @@ def test_parse_reads_demand_column():
 
 
 def test_parse_accepts_float_costs():
-    # a float cost takes the parser's slow path; an integer one stays an int
+    # a decimal cost takes the parser's slow path and is read exactly; an
+    # integer one stays an int
     text = "scp 1\nn 3\nedge 1 2 1.5\nedge 3 2 2\nrequest 1 2 0.5\nrequest 1 3 4\n"
     inst = parse_instance(text)
-    assert [(e.cost, type(e.cost)) for e in inst.base.edges] == [(1.5, float), (2, int)]
-    assert [(r.cost, type(r.cost)) for r in inst.requests] == [(0.5, float), (4, int)]
+    assert [(e.cost, type(e.cost)) for e in inst.base.edges] == [(Fraction(3, 2), Fraction), (2, int)]
+    assert [(r.cost, type(r.cost)) for r in inst.requests] == [(Fraction(1, 2), Fraction), (4, int)]
+
+
+@pytest.mark.parametrize(
+    "token,value",
+    [
+        ("0.1", Fraction(1, 10)),
+        ("1_0.5", Fraction(21, 2)),
+        (".5", Fraction(1, 2)),
+        ("5.", 5),
+        ("1E3", 1000),
+        ("2.50e-1", Fraction(1, 4)),
+        ("-0.0", 0),
+        ("0e-999999999", 0),
+        ("1e308", 10**308),
+        ("5e-324", Fraction(5, 10**324)),
+    ],
+)
+def test_parse_reads_cost_tokens_exactly(token, value):
+    inst = parse_instance(f"scp 1\nn 2\nedge 1 2 {token}\nrequest 1 2 {token}\n")
+    for cost in (inst.base.edges[0].cost, inst.requests[0].cost):
+        assert cost == value and type(cost) is type(value)
+
+
+def test_parse_reads_up_to_max_digits_exactly():
+    whole = "1" + "0" * (MAX_DIGITS - 2) + "1"  # MAX_DIGITS digits
+    cost = parse_instance(f"scp 1\nn 2\nedge 1 2 {whole[0]}.{whole[1:]}\n").base.edges[0].cost
+    assert cost == Fraction(int(whole), 10 ** (MAX_DIGITS - 1))
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(f"scp 1\nn 2\nedge 1 2 {whole[0]}.{whole[1:]}0\n")
+    assert (exc.value.code, str(exc.value)) == (
+        "non-finite-cost", f"line 3: edge cost has more than {MAX_DIGITS} digits [non-finite-cost]"
+    )
+
+
+@pytest.mark.parametrize(
+    "token,code",
+    [
+        ("1e-999999999", "non-finite-cost"),
+        ("0e-999999999", None),
+        ("1e999999999", "non-finite-cost"),
+        ("0." + "1" * 300_000, "non-finite-cost"),
+        ("1." + "0" * 300_000, "non-finite-cost"),
+        ("0." + "0" * 300_000, "non-finite-cost"),
+        ("1" * 300_000 + ".5", "non-finite-cost"),
+    ],
+    ids=["tiny-exponent", "zero-tiny-exponent", "huge-exponent", "long-fraction", "long-one", "long-zero", "long-whole"],
+)
+def test_cost_tokens_that_would_build_huge_numbers_return_within_a_second(token, code):
+    # an exact reader that built these numbers would take seconds or run out
+    # of memory: 10**999999999 has a billion digits
+    start = time.perf_counter()
+    for line in (f"edge 1 2 {token}", f"edge 1 2 1\nrequest 1 2 {token}"):
+        try:
+            parse_instance(f"scp 1\nn 2\n{line}\n")
+            got = None
+        except InstanceFormatError as exc:
+            got = exc.code
+        assert got == code
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cost_text_is_the_exact_shortest_decimal():
+    assert _cost_text(12) == "12" and _cost_text(-3) == "-3"
+    assert _cost_text(Fraction(119, 10)) == "11.9"
+    assert _cost_text(Fraction(3, 20)) == "0.15"
+    assert _cost_text(Fraction(-3, 2)) == "-1.5"
+    assert _cost_text(Fraction(12)) == "12"
+    assert _cost_text(Fraction(1, 10**5)) == "0.00001"
+    assert _cost_text(Fraction(-1, 1024)) == "-0.0009765625"
+    # a library float means its exact binary value
+    assert _cost_text(0.1) == "0.1000000000000000055511151231257827021181583404541015625"
+    assert _cost_text(2.5) == "2.5"
+    for value in (Fraction(1, 3), Fraction(7, 30)):
+        with pytest.raises(ValueError, match="no finite decimal form"):
+            _cost_text(value)
+    with pytest.raises(ValueError):
+        format_instance(Instance(BaseGraph.from_edges(2, [(1, 2, Fraction(1, 3))]), ()))
 
 
 def test_parse_splits_on_any_whitespace_and_line_ending():
@@ -113,6 +195,11 @@ PARSE_ERRORS = [
     ("scp 1\nn 2\nedge 1 1 1\n", "self-loop", 3, "self-loop at vertex 1"),
     ("scp 1\nn 2\nedge 1 2 -1\n", "negative-cost", 3, "negative edge cost -1"),
     ("scp 1\nn 2\nedge 1 2 -1.5\n", "negative-cost", 3, "negative edge cost -1.5"),
+    ("scp 1\nn 2\nedge 1 2 -0.25e1\n", "negative-cost", 3, "negative edge cost -2.5"),
+    ("scp 1\nn 2\nedge 1 2 3/2\n", "bad-token", 3, "edge cost is not a number: '3/2'"),
+    ("scp 1\nn 2\nedge 1 2 nan\n", "non-finite-cost", 3, "edge cost is not finite: 'nan'"),
+    ("scp 1\nn 2\nedge 1 2 1e400\n", "non-finite-cost", 3, "edge cost is not finite: '1e400'"),
+    ("scp 1\nn 2\nedge 1 2 1e-400\n", "non-finite-cost", 3, "edge cost is nonzero but rounds to 0 as a double: '1e-400'"),
     ("scp 1\nn 2\nedge 1 2 1\nedge 2 1 4\n", "duplicate-edge", 4, "edge (1, 2) given twice"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 0\n", "bad-demand", 4, "demand must be positive"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 x\n", "bad-demand", 4, "bad demand 'x'"),
@@ -131,6 +218,11 @@ PARSE_ERRORS = [
     ("scp 1\nn 2\nedge 1 2 1\nrequest 0 2 3\n", "bad-vertex", 4, "vertex 0 outside 1..2"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 2 2 3\n", "self-loop", 4, "request with equal endpoints 2"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 -3\n", "negative-cost", 4, "negative request cost -3"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 -0.3\n", "negative-cost", 4, "negative request cost -0.3"),
+    (
+        "scp 1\nn 2\nedge 1 2 1\nrequest 1 2 -1e-999999999\n",
+        "non-finite-cost", 4, "request cost is nonzero but rounds to 0 as a double: '-1e-999999999'",
+    ),
     # within a line the first bad token wins, whichever check it fails
     ("scp 1\nn 2\nedge 3 x 1\n", "bad-vertex", 3, "vertex 3 outside 1..2"),
     ("scp 1\nn 2\nedge x 3 1\n", "bad-token", 3, "vertex is not an integer: 'x'"),
@@ -149,7 +241,7 @@ def test_parse_errors_carry_codes_and_lines(text, code, line_no):
     assert str(exc.value) == f"line {line_no}: {PARSE_ERROR_MESSAGES[text]} [{code}]"
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400", "1e-400"])
 @pytest.mark.parametrize("line", ["edge 1 2 {}", "request 1 2 {}"])
 def test_non_finite_costs_are_rejected(token, line, tmp_path, capsys):
     text = "scp 1\nn 2\n" + ("" if line.startswith("edge") else "edge 1 2 1\n") + line.format(token) + "\n"
@@ -406,27 +498,60 @@ def json_steps(text):
     return text[text.index('"steps":[') + len('"steps":[') : text.index('],"timings_ms":')]
 
 
+def tenths(inst):
+    """inst with every cost k turned into k/10, the value the parser reads
+    from the text ``0.1`` for k = 1."""
+    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in inst.base.edges])
+    return Instance(graph, tuple(Request(r.source, r.target, Fraction(r.cost, 10), r.demand) for r in inst.requests))
+
+
 def tenths_instance(seed):
-    """A random_instance draw with every cost k turned into the float k/10."""
-    inst = random_instance(seed, 8, 3, 4, 20)
-    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
-    return Instance(graph, tuple(Request(r.source, r.target, r.cost / 10, r.demand) for r in inst.requests))
+    """A random_instance draw with every cost k turned into k/10."""
+    return tenths(random_instance(seed, 8, 3, 4, 20))
 
 
 @pytest.fixture(scope="module")
 def rendered_reports(bulk_case):
-    """The demand-100,000 tour, 40 random draws, a demand-7 ring and the solved k/10 float draws."""
+    """The demand-100,000 tour, 40 random draws, a demand-7 ring and 12 k/10 draws."""
     _, bulk = bulk_case
     reports = [bulk] + [solve(random_instance(seed, 10, 4, 6, 20)) for seed in range(40)]
     reports.append(solve(parse_instance(RING_TEXT.replace("request 1 3 2", "request 1 3 2 7"))))
-    refused = 0
-    for seed in range(12):
-        try:
-            reports.append(solve(tenths_instance(seed)))
-        except RuntimeError:
-            refused += 1  # float totals disagree; the golden digests pin which ones
-    assert 0 < refused < 12
+    reports += [solve(tenths_instance(seed)) for seed in range(12)]
     return reports
+
+
+def test_decimal_costs_solve_exactly():
+    # 300 draws with costs k/10: each report equals the brute-force optimum
+    # exactly, replays as valid and reads back from its own JSON
+    fractional = 0
+    for seed in range(300):
+        inst = tenths(random_instance(seed, 10, 4, 6, 20))
+        report = solve(inst)
+        assert report.cost == brute_force_tour(inst).cost, seed
+        check = verify_tour(inst, report.tour)
+        assert check.valid and check.cost == report.cost == report.tour.total, seed
+        cost, tour = parse_report(emit_report(report, "json"))
+        assert cost == report.cost and verify_tour(inst, tour).valid, seed
+        fractional += report.cost.denominator != 1
+    assert fractional > 200
+
+
+def test_solve_scales_fraction_and_float_costs_to_one_integer_instance():
+    # a library float is its exact binary value; Fraction("0.1") is 1/10.
+    # Either way the tour, lambda and counters are the integer instance's.
+    base = random_instance(5, 10, 4, 6, 20)
+    want = solve(base)
+    for inst, factor in (
+        (tenths(base), Fraction(1, 10)),
+        (Instance(
+            BaseGraph.from_edges(base.base.vertex_count, [(e.u, e.v, e.cost / 4) for e in base.base.edges]),
+            tuple(r._replace(cost=r.cost / 4) for r in base.requests),
+        ), Fraction(1, 4)),
+    ):
+        got = solve(inst)
+        assert got.cost == want.cost * factor and got.tour.total == got.cost
+        assert got.tour.keys == want.tour.keys and got.tour.runs == want.tour.runs
+        assert dataclasses.replace(got, tour=want.tour, cost=want.cost) == want
 
 
 def test_text_report_step_lines_match_per_step_formatting(bulk_case, rendered_reports):
@@ -736,28 +861,49 @@ def test_cli_solve_malformed(tmp_path, capsys):
     assert "bad-vertex" in capsys.readouterr().err
 
 
-def test_cli_solve_reports_solver_error_without_traceback(tmp_path, capsys):
-    # float sums in two orders disagree; exact decimal costs are still open
-    f = tmp_path / "float.scp"
-    f.write_text(
-        "scp 1\nn 3\nedge 1 2 0.1\nedge 2 3 0.2\nedge 1 3 0.7\nrequest 1 3 0.3\n",
-        encoding="utf-8",
-    )
-    assert main(["solve", str(f)]) == FAIL
-    err = capsys.readouterr().err
-    assert err == "solver error: winning tour cost disagrees with candidate cost\n"
+def test_cli_solve_reports_solver_error_without_traceback(ring_file, capsys, monkeypatch):
+    # stands in for a fault detector firing inside solve
+    def faulty(instance):
+        raise RuntimeError("winning tour cost disagrees with candidate cost")
+
+    monkeypatch.setattr(cli_io, "solve", faulty)
+    assert main(["solve", ring_file]) == FAIL
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "solver error: winning tour cost disagrees with candidate cost\n")
 
 
-def test_cli_solve_refuses_a_float_total_that_overflows(tmp_path, capsys):
-    # every cost is finite, but the tour's total is not, and JSON has no infinity
+def test_cli_solves_and_checks_the_decimal_triangle(tmp_path, capsys):
+    # 0.1 + 0.2 != 0.3 in floats; read exactly, the costs add up
+    f = tmp_path / "decimal.scp"
+    f.write_text("scp 1\nn 3\nedge 1 2 0.1\nedge 2 3 0.2\nedge 1 3 0.7\nrequest 1 3 0.3\n", encoding="utf-8")
+    assert main(["solve", str(f)]) == OK
+    assert "\ncost 0.6\n" in capsys.readouterr().out
+    assert main(["solve", str(f), "--json"]) == OK
+    report = capsys.readouterr().out
+    assert '"cost":0.6,' in report
+    report_path = tmp_path / "report.json"
+    report_path.write_text(report, encoding="utf-8")
+    assert main(["check", str(f), str(report_path)]) == OK
+    assert capsys.readouterr().out == "valid tour, cost 0.6\n"
+    assert main(["oracle", str(f)]) == OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["solver cost 0.6", "match"]
+
+
+def test_cli_solve_gives_the_1e308_triangle_its_exact_integer_cost(tmp_path, capsys):
+    # 1e308 is the integer 10**308; the total 6 * 10**308 overflows a double
+    # but not an int, so the report carries it exactly
     f = tmp_path / "huge.scp"
     f.write_text(
         "scp 1\nn 3\nedge 1 2 1e308\nedge 2 3 1e308\nedge 1 3 1e308\nrequest 1 3 1e308 3\n",
         encoding="utf-8",
     )
-    assert main(["solve", str(f), "--json"]) == FAIL
+    assert main(["solve", str(f), "--json"]) == OK
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "solver error: winning tour cost overflows to infinity\n")
+    assert err == "" and json.loads(out)["cost"] == 6 * 10**308
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out, encoding="utf-8")
+    assert main(["check", str(f), str(report_path)]) == OK
+    assert capsys.readouterr().out == f"valid tour, cost {6 * 10**308}\n"
 
 
 def test_cli_solve_reports_out_of_memory_without_traceback(ring_file, capsys, monkeypatch):
@@ -825,12 +971,15 @@ def test_cli_check_flags_tampered_steps(ring_file, tmp_path, capsys):
     "field,bad",
     [
         ('"id":0', '"id":0.5'),
+        ('"id":0', '"id":0.0'),
         ('"id":0', '"id":true'),
         ('"from":1', '"from":"1"'),
         ('"kind":"request"', '"kind":1'),
         ('"cost":2', '"cost":Infinity'),
         ('"cost":2', '"cost":NaN'),
         ('"cost":2', '"cost":1e400'),
+        ('"cost":2', '"cost":1e-400'),
+        ('"cost":2', '"cost":-Infinity'),
         ('"cost":2', '"cost":true'),
         ('"cost":2', '"cost":"2"'),
     ],
@@ -845,6 +994,25 @@ def test_cli_check_rejects_step_fields_of_the_wrong_type(tmp_path, capsys, field
     report_path.write_text(report.replace(field, bad, 1), encoding="utf-8")
     assert main(["check", str(instance_path), str(report_path)]) == BAD_INPUT
     assert "malformed report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cost,status,out",
+    [
+        ("2.0", OK, "valid tour, cost 2\n"),
+        ("20e-1", OK, "valid tour, cost 2\n"),
+        # equal to 2 as a double, but not exactly
+        ("2.0000000000000001", FAIL, "invalid tour: recorded total differs from recomputed cost\n"),
+    ],
+)
+def test_cli_check_reads_report_costs_exactly(tmp_path, capsys, cost, status, out):
+    instance_path = tmp_path / "one-edge.scp"
+    instance_path.write_text(ONE_EDGE_TEXT, encoding="utf-8")
+    assert main(["solve", str(instance_path), "--json"]) == OK
+    report_path = tmp_path / "report.json"
+    report_path.write_text(capsys.readouterr().out.replace('"cost":2,', f'"cost":{cost},', 1), encoding="utf-8")
+    assert main(["check", str(instance_path), str(report_path)]) == status
+    assert capsys.readouterr().out == out
 
 
 def test_cli_check_rejects_malformed_report(ring_file, tmp_path, capsys):

@@ -1,5 +1,5 @@
 import itertools
-import sys
+from fractions import Fraction
 
 import pytest
 
@@ -242,13 +242,13 @@ def _reference_cost(instance, f):
 
 
 def _tenths(inst):
-    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
-    return Instance(graph, tuple(Request(r.source, r.target, r.cost / 10, r.demand) for r in inst.requests))
+    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in inst.base.edges])
+    return Instance(graph, tuple(Request(r.source, r.target, Fraction(r.cost, 10), r.demand) for r in inst.requests))
 
 
 def test_circulation_cost_matches_reference_loop_in_value_and_type():
     rng = SplitMix64(26)
-    floats = 0
+    fractions = 0
     for i in range(500):
         inst = random_instance(rng.next64(), 10, 4, 6, 20)
         if i % 2:
@@ -259,10 +259,6 @@ def test_circulation_cost_matches_reference_loop_in_value_and_type():
         )
         got, want = circulation_cost(inst, f), _reference_cost(inst, f)
         assert type(got) is type(want)
-        floats += type(got) is float
-        if type(got) is float and sys.version_info >= (3, 12):
-            # 3.12's sum compensates float rounding; the loop does not
-            assert got == pytest.approx(want)
-        else:
-            assert repr(got) == repr(want)
-    assert floats > 200
+        assert repr(got) == repr(want)
+        fractions += type(got) is Fraction
+    assert fractions > 200

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from fractions import Fraction
 
 from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, random_instance, shortest_path, solve
 from scpsolver.cli_io import _family_instance
@@ -34,7 +35,7 @@ FAMILY_SIZES = {
 }
 CHAIN_SIZES = (16, 20, 24, 28, 32, 36)
 CHAINS_PER_SIZE = 10  # split over path, cycle and theta
-FLOAT_DRAWS = 12
+TENTHS_DRAWS = 12
 
 
 def chain_instance(family: str, n: int, rng: SplitMix64) -> Instance:
@@ -65,10 +66,11 @@ def chain_instance(family: str, n: int, rng: SplitMix64) -> Instance:
 
 
 def tenths_instance(seed: int) -> Instance:
-    """A random_instance draw with every cost k turned into the float k/10."""
+    """A random_instance draw with every cost k turned into k/10, the value
+    the parser reads from the text ``0.1`` for k = 1."""
     inst = random_instance(seed, 8, 3, 4, 20)
-    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
-    requests = tuple(Request(r.source, r.target, r.cost / 10, r.demand) for r in inst.requests)
+    graph = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in inst.base.edges])
+    requests = tuple(Request(r.source, r.target, Fraction(r.cost, 10), r.demand) for r in inst.requests)
     return Instance(graph, requests)
 
 
@@ -84,10 +86,11 @@ def cases() -> dict[str, Instance]:
         for i in range(CHAINS_PER_SIZE):
             family = ("path", "cycle", "theta")[i % 3]
             out[f"chain/{family}/{n}/{i}"] = chain_instance(family, n, SplitMix64(rng.next64()))
-    for seed in range(FLOAT_DRAWS):
+    for seed in range(TENTHS_DRAWS):
         out[f"tenths/{seed}"] = tenths_instance(seed)
     out["tenths/triangle"] = Instance(
-        BaseGraph.from_edges(3, [(1, 2, 0.1), (2, 3, 0.2), (1, 3, 0.7)]), (Request(1, 3, 0.3),)
+        BaseGraph.from_edges(3, [(1, 2, Fraction(1, 10)), (2, 3, Fraction(2, 10)), (1, 3, Fraction(7, 10))]),
+        (Request(1, 3, Fraction(3, 10)),),
     )
     return out
 
@@ -116,11 +119,10 @@ def test_reports_match_golden_digests():
 def test_segment_sweep_picks_the_base_sweeps_lambda(monkeypatch):
     # the sweep runs on segments with the projected basis; the reference runs
     # on the base graph with fundamental_cycles, as solve did before segments.
-    # Float costs keep every vertex, so the tenths cases sweep segments too.
+    # The tenths cases sweep integer segments after solve's scaling, and the
+    # reference sweeps their Fraction costs unscaled.
     from test_cli_io import reference_sweep
 
-    with open(DIGESTS, encoding="utf-8") as fh:
-        refused = {name for name, value in json.load(fh).items() if value.startswith("solver error: ")}
     swept = set()
     priced = cli_io.circulation_cost
 
@@ -129,25 +131,26 @@ def test_segment_sweep_picks_the_base_sweeps_lambda(monkeypatch):
         return priced(instance, g)
 
     monkeypatch.setattr(cli_io, "circulation_cost", recording)
-    checked = floats = 0
+    checked = tenths = 0
     for name, instance in cases().items():
-        if name.startswith(("chain/", "family/", "tenths/")) and name not in refused:
+        if name.startswith(("chain/", "family/", "tenths/")):
             report = solve(instance)
             assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance), name
             checked += 1
-            floats += name.startswith("tenths/")
+            tenths += name.startswith("tenths/")
     assert swept == {SegmentGraph}
-    assert floats == FLOAT_DRAWS + 1 - len(refused) == 10
-    assert checked == len(CHAIN_SIZES) * CHAINS_PER_SIZE + sum(map(len, FAMILY_SIZES.values())) + floats
+    assert tenths == TENTHS_DRAWS + 1 == 13
+    assert checked == len(CHAIN_SIZES) * CHAINS_PER_SIZE + sum(map(len, FAMILY_SIZES.values())) + tenths
 
 
-def test_golden_corpus_covers_refusals_and_long_tours():
+def test_golden_corpus_solves_every_case_and_covers_long_tours():
     with open(DIGESTS, encoding="utf-8") as fh:
         golden = json.load(fh)
     refused = [name for name, value in golden.items() if value.startswith("solver error: ")]
-    assert refused and all(name.startswith("tenths/") for name in refused)
+    assert not refused
     assert sum(name.startswith("chain/") for name in golden) == len(CHAIN_SIZES) * CHAINS_PER_SIZE
-    assert len(golden) - len(refused) > 350
+    assert sum(name.startswith("tenths/") for name in golden) == TENTHS_DRAWS + 1
+    assert len(golden) > 350
 
 
 if __name__ == "__main__":

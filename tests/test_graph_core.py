@@ -1,4 +1,5 @@
 import heapq
+from fractions import Fraction
 
 import pytest
 
@@ -360,7 +361,7 @@ def project_cycle(seg, cycle, edge_count):
 def test_segment_basis_is_the_projected_base_basis():
     for inst, endpoints in endpoint_instances(7, 80):
         every = range(1, inst.base.vertex_count + 1)
-        tenths = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in inst.base.edges])
+        tenths = BaseGraph.from_edges(inst.base.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in inst.base.edges])
         for g, keep in ((inst.base, endpoints), (inst.base, every), (tenths, every)):
             tree = spanning_tree(g)
             base = fundamental_cycles(g, tree)
@@ -371,8 +372,9 @@ def test_segment_basis_is_the_projected_base_basis():
                 assert eid in seg.edges[own].edge_ids
                 assert cycle == project_cycle(seg, base_cycle, len(g.edges))
             if keep is every:
-                # solve's segment graph for float costs: nothing is compressed,
-                # and the basis is the base one, each cycle in the same order
+                # keeping every vertex compresses nothing: each segment is its
+                # base edge, and the basis is the base one, each cycle in the
+                # same order
                 assert seg.edges == tuple(Segment(e.u, e.v, e.cost, (i,), (1,)) for i, e in enumerate(g.edges))
                 assert basis == base
                 assert [list(c.items()) for c in basis.cycles] == [list(c.items()) for c in base.cycles]
@@ -422,14 +424,14 @@ def quadratic_shortest_path(graph, source, target):
 
 @pytest.mark.parametrize("costs", ["int", "tenths", "zero"])
 def test_shortest_path_matches_the_quadratic_search(costs):
-    # int costs; costs k/10, whose float sums depend on the summing order;
-    # and int costs 0-3, whose zero-cost edges tie vertices at one distance
+    # int costs; exact costs k/10; and int costs 0-3, whose zero-cost edges
+    # tie vertices at one distance
     rng = SplitMix64({"int": 78, "tenths": 87, "zero": 96}[costs])
     ties = 0
     for _ in range(400):
         g = random_instance(rng.next64(), 12, 6, 0, 4).base
         if costs == "tenths":
-            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost / 10) for e in g.edges])
+            g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in g.edges])
         elif costs == "zero":
             g = BaseGraph.from_edges(g.vertex_count, [(e.u, e.v, e.cost - 1) for e in g.edges])
         for _ in range(4):

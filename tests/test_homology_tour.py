@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scpsolver.circulation import (
@@ -590,16 +592,17 @@ def unit_euler_tour(mg):
     return Tour(steps, sum(mg.arcs[i][4] for i in circuit))
 
 
-def random_eulerian_arcs(rng, float_costs=False):
+def random_eulerian_arcs(rng, tenths=False):
     """Union of random closed walks, each repeated 1..300 times, arcs shuffled.
 
     Arcs draw (kind, ref) from a small pool, so request and edge arcs share
     endpoints and one endpoint pair carries several kinds and refs; the cost
-    is a function of (kind, ref), zero included, as in build_euler_multigraph.
+    is a function of (kind, ref), zero included, as in build_euler_multigraph;
+    with ``tenths`` it is k/10 for k in 0..9.
     """
     n = rng.randint(1, 7)
     cost = {
-        (kind, ref): (rng.randint(0, 9) / 10 if float_costs else rng.randint(0, 3))
+        (kind, ref): (Fraction(rng.randint(0, 9), 10) if tenths else rng.randint(0, 3))
         for kind in (KIND_REQUEST, KIND_EDGE)
         for ref in range(4)
     }
@@ -625,7 +628,7 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
     rng = SplitMix64(606)
     disconnected = 0
     for trial in range(2000):
-        arcs = random_eulerian_arcs(rng, float_costs=trial % 4 == 0)
+        arcs = random_eulerian_arcs(rng, tenths=trial % 4 == 0)
         mg = EulerMultigraph(arcs)
         assert len(mg.arcs) == sum(mg.counts.values()) == len(arcs)
         assert sorted(mg.arcs) == sorted(arcs)

@@ -175,9 +175,9 @@ def min_cost_circulation(instance: Instance) -> Circulation:
     of the excess and deficit at the two ends and the flow on any refund
     arc along the path.  Every round settles at least one unit of demand,
     so it costs O(rounds * m log n) in all, and the edge costs are the
-    weights: ``solve`` hands it integers.  Heap entries are (distance, vertex) and neighbours are
-    scanned in ascending order, so ties, and with them the optimum
-    returned, are deterministic.
+    weights: ``solve`` hands it integers.  Heap entries are (distance,
+    vertex) and neighbours are scanned in ascending order, so ties, and
+    with them the optimum returned, are deterministic.
     """
     graph = instance.base
     demands = tuple(map(itemgetter(3), instance.requests))

@@ -1,9 +1,11 @@
 """Exact stacker crane solver for graphs of fixed topology.
 
 The root exports the pipeline's front door and the oracles used to check it.
-Every other piece is imported from its submodule: ``graph_core``,
-``circulation``, ``enumeration``, ``homology_tour``, ``oracle`` and
-``cli_io``.
+Every other piece is imported from its submodule.  The root loads the solve
+path: ``graph_core``, ``circulation``, ``enumeration``, ``homology_tour``,
+``oracle`` and ``cli_io``.  It does not load ``cli`` (the command line) or
+``acceptance`` (the randomized properties and the graph families), which
+import them.
 """
 
 from .circulation import Instance, Request

@@ -11,13 +11,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .graph_core import BaseGraph, Cost, CycleBasis, SegmentGraph, component_roots, rooted_tree
+from .graph_core import BaseGraph, Cost, CycleBasis, FrozenRecord, SegmentGraph, component_roots, rooted_tree
 
 
 class Request(NamedTuple):
@@ -33,8 +32,7 @@ class Request(NamedTuple):
     demand: int = 1
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """A base graph and its requests.
 
     ``solve`` sweeps one built on the segment graph of its base graph
@@ -42,13 +40,14 @@ class Instance:
     ``vertex_count``, ``edges`` and ``edge_costs`` both graphs have.
     """
 
+    _fields = ("base", "requests")
     base: BaseGraph | SegmentGraph
     requests: tuple[Request, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: BaseGraph | SegmentGraph, requests: tuple[Request, ...]):
         seen: set[tuple[int, int]] = set()
-        n = self.base.vertex_count
-        for r in self.requests:
+        n = base.vertex_count
+        for r in requests:
             if not (1 <= r.source <= n and 1 <= r.target <= n):
                 raise ValueError(f"request endpoint out of range: {r}")
             if r.source == r.target:
@@ -60,6 +59,8 @@ class Instance:
             if (r.source, r.target) in seen:
                 raise ValueError(f"duplicate request pair: {r}")
             seen.add((r.source, r.target))
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "requests", requests)
 
     @cached_property
     def arc_costs(self) -> tuple[Cost, ...]:
@@ -71,8 +72,8 @@ class Circulation(NamedTuple):
     """Edge and arc flows, indexed by edge_id and arc_id (request position).
 
     An immutable value that compares and hashes by its two flow tuples.  It
-    is a named tuple, not a dataclass, because the sweep builds one per box
-    point: ``tuple.__new__(Circulation, (edge_flow, arc_flow))`` runs no
+    is a named tuple because the sweep builds one per box point:
+    ``tuple.__new__(Circulation, (edge_flow, arc_flow))`` runs no
     Python-level constructor.
     """
 
@@ -251,85 +252,3 @@ def min_cost_circulation(instance: Instance) -> Circulation:
         excess[sink] += delta
         sources = [v for v in sources if excess[v] > 0]
     return Circulation(tuple(flows), demands)
-
-
-def decompose(graph: BaseGraph, f: Circulation) -> list[tuple[int, dict[int, int]]]:
-    """Split edge flows into at most cycle_rank(supp) unit cycle flows.
-
-    Returns (value, cycle) pairs where cycle maps edge_id -> +1/-1 and the
-    weighted cycles sum back to the input exactly.  Arc flows are ignored.
-    """
-    if not edge_flow_conserves(graph, f.edge_flow):
-        raise ValueError("edge flows do not conserve")
-    flows = list(f.edge_flow)
-    parts: list[tuple[int, dict[int, int]]] = []
-    while True:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for eid, val in enumerate(flows):
-            if val == 0:
-                continue
-            e = graph.edges[eid]
-            tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
-            out.setdefault(tail, []).append((head, eid))
-        if not out:
-            break
-        for lst in out.values():
-            lst.sort()
-        # walk the nonzero-flow digraph; conservation guarantees a way out of
-        # every vertex entered, so a vertex repeats within n steps
-        start = min(out)
-        order = {start: 0}
-        walk: list[tuple[int, int]] = []
-        v = start
-        while True:
-            head, eid = out[v][0]
-            walk.append((v, eid))
-            if head in order:
-                cycle = walk[order[head]:]
-                break
-            order[head] = len(walk)
-            v = head
-        value = min(abs(flows[eid]) for _, eid in cycle)
-        unit: dict[int, int] = {}
-        for x, eid in cycle:
-            sign = 1 if x == graph.edges[eid].u else -1
-            unit[eid] = sign
-            flows[eid] -= sign * value
-        parts.append((value, unit))
-    return parts
-
-
-def is_elementary(graph: BaseGraph, f: Circulation) -> bool:
-    """False exactly when f contains a cycle flow of value 2.
-
-    Equivalent test: orient every edge with |flow| >= 2 along its flow sign;
-    elementary means that digraph is acyclic.
-    """
-    out: dict[int, list[int]] = {}
-    for eid, val in enumerate(f.edge_flow):
-        if abs(val) < 2:
-            continue
-        e = graph.edges[eid]
-        tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
-        out.setdefault(tail, []).append(head)
-    color: dict[int, int] = {}
-    for start in out:
-        if color.get(start, 0) != 0:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = 1
-        while stack:
-            v, i = stack[-1]
-            succ = out.get(v, ())
-            if i < len(succ):
-                stack[-1] = (v, i + 1)
-                w = succ[i]
-                if color.get(w, 0) == 1:
-                    return False
-                if color.get(w, 0) == 0:
-                    color[w] = 1
-                    stack.append((w, 0))
-            else:
-                color[v] = 2
-                stack.pop()
-    return True

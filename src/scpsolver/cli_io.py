@@ -1,4 +1,4 @@
-"""Instance text format, JSON reports, the solve pipeline, and the CLI.
+"""Instance text format, JSON reports and the solve pipeline.
 
 Pipeline: min-cost circulation, segment graph, Gray-code sweep of the
 nearby homology classes on the segments, cheapest class repair per
@@ -9,41 +9,33 @@ byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import os
-import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import NamedTuple
 
 from .circulation import (
     Circulation,
     Instance,
     Request,
     circulation_cost,
-    decompose,
-    is_elementary,
     min_cost_circulation,
     segment_instance,
-    support_connected,
 )
-# solve calls neither gray_code_lambdas (run_acceptance counts its box with
-# it) nor fundamental_cycles, but perfbench/tracing.py patches both in cli_io
-# by name, so they stay importable from here
+# solve calls neither gray_code_lambdas nor fundamental_cycles; they are
+# imported only because perfbench/tracing.py's TRACED patches both here by
+# name
 from .enumeration import LambdaVector, enumerate_candidates, gray_code_lambdas
 from .graph_core import (
     BaseGraph,
     Cost,
     Edge,
-    cycle_rank,
     fundamental_cycles,
     segment_basis,
-    shortest_path,
     smooth_topology,
     spanning_tree,
 )
@@ -56,11 +48,6 @@ from .homology_tour import (
     connectivity_repair,
     euler_tour,
 )
-from .oracle import SplitMix64, brute_force_tour, random_instance, verify_tour
-
-OK = 0
-FAIL = 1
-BAD_INPUT = 2
 
 
 class InstanceFormatError(ValueError):
@@ -72,8 +59,7 @@ class InstanceFormatError(ValueError):
         self.code = code
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     """The optimal tour and the deterministic facts of its solve; no wall-clock time."""
 
     tour: Tour
@@ -85,23 +71,6 @@ class SolveReport:
     k: int
     candidates_evaluated: int
     winning_lambda: LambdaVector
-
-
-@dataclass(frozen=True)
-class PropertyOutcome:
-    passed: int
-    failed: int
-    failing_seeds: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AcceptanceSummary:
-    count: int
-    results: dict[str, PropertyOutcome]
-
-    @property
-    def ok(self) -> bool:
-        return all(o.failed == 0 for o in self.results.values())
 
 
 # the longest number token read exactly: Python's int-string limit, past
@@ -372,8 +341,7 @@ def solve(instance: Instance) -> SolveReport:
         requests = tuple(r._replace(cost=c) for r, c in zip(instance.requests, costs[m:]))
         report = solve(Instance(BaseGraph(graph.vertex_count, edges), requests))
         tour = report.tour
-        return replace(
-            report,
+        return report._replace(
             tour=Tour.from_runs(tour.keys, tour.runs, Fraction(tour.total, scale)),
             cost=Fraction(report.cost, scale),
         )
@@ -515,265 +483,3 @@ def parse_report(text: str) -> tuple[Cost, Tour]:
     index = {k: i for i, k in enumerate(dict.fromkeys(map(key, steps)))}
     walk = tuple(map(index.__getitem__, map(key, steps)))
     return cost, Tour.from_runs(tuple(index), ((walk, 1),) if walk else (), cost)
-
-
-def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
-    """Solve seeded random instances and check every property against oracles."""
-    names = (
-        "solve_matches_oracle",
-        "tours_valid",
-        "proximity",
-        "relaxation",
-        "candidate_count",
-        "decomposition",
-    )
-    stats = {name: [0, 0, []] for name in names}
-
-    def record(name: str, ok: bool, inst_seed: int) -> None:
-        if ok:
-            stats[name][0] += 1
-        else:
-            stats[name][1] += 1
-            stats[name][2].append(inst_seed)
-
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        s = rng.next64()
-        inst = random_instance(s, 10, 4, 6, 20)
-        graph = inst.base
-        p = len(inst.requests)
-        r = cycle_rank(graph)
-        report = solve(inst)
-        oracle = brute_force_tour(inst)
-        f = min_cost_circulation(inst)
-
-        record("solve_matches_oracle", report.cost == oracle.cost, s)
-
-        mine = verify_tour(inst, report.tour)
-        theirs = verify_tour(inst, oracle.witness)
-        record(
-            "tours_valid",
-            mine.valid and mine.cost == report.cost and theirs.valid and theirs.cost == oracle.cost,
-            s,
-        )
-
-        if p == 0:
-            record("proximity", True, s)
-            record("relaxation", True, s)
-            record("decomposition", True, s)
-        else:
-            diff = Circulation(
-                tuple(a - b for a, b in zip(theirs.circulation.edge_flow, f.edge_flow)),
-                (0,) * p,
-            )
-            linf = max((abs(x) for x in diff.edge_flow), default=0)
-            record("proximity", is_elementary(graph, diff) and linf <= r, s)
-
-            fc = circulation_cost(inst, f)
-            ok = fc <= oracle.cost
-            if support_connected(inst, f):
-                ok = ok and fc == oracle.cost
-            if fc == oracle.cost:
-                gc = circulation_cost(inst, theirs.circulation)
-                ok = ok and gc == fc and support_connected(inst, theirs.circulation)
-            record("relaxation", ok, s)
-
-            parts = decompose(graph, diff)
-            rebuilt = [0] * len(graph.edges)
-            for value, unit in parts:
-                for eid, sign in unit.items():
-                    rebuilt[eid] += value * sign
-            record(
-                "decomposition",
-                len(parts) <= r and tuple(rebuilt) == diff.edge_flow,
-                s,
-            )
-
-        # counted off the Gray walk itself, not from the (2r+1)^r formula
-        # solve reports
-        expected = 0 if p == 0 else sum(1 for _ in gray_code_lambdas(r, r))
-        record("candidate_count", report.candidates_evaluated == expected, s)
-
-    results = {
-        name: PropertyOutcome(passed, failed, tuple(seeds))
-        for name, (passed, failed, seeds) in stats.items()
-    }
-    return AcceptanceSummary(count, results)
-
-
-# --- graph families (tests and golden corpus) ---
-
-
-def _family_instance(family: str, size: int, seed: int) -> Instance:
-    rng = SplitMix64((seed << 8) ^ size)
-    triples: list[tuple[int, int, Cost]] = []
-    if family == "path":
-        n = max(2, size)
-        triples = [(v, v + 1, rng.randint(1, 9)) for v in range(1, n)]
-    elif family == "cycle":
-        n = max(3, size)
-        triples = [(v, v + 1, rng.randint(1, 9)) for v in range(1, n)]
-        triples.append((1, n, rng.randint(1, 9)))
-    elif family == "theta":
-        inner = max(3, size - 2)
-        per = [inner // 3 + (1 if i < inner % 3 else 0) for i in range(3)]
-        n = 2 + sum(per)
-        nxt = 3
-        for length in per:
-            chain = [1] + list(range(nxt, nxt + length)) + [2]
-            nxt += length
-            for a, b in zip(chain, chain[1:]):
-                triples.append((a, b, rng.randint(1, 9)))
-    elif family == "grid-aisle":
-        aisles = max(2, size)
-        n = 2 * aisles
-        for i in range(1, aisles):
-            triples.append((i, i + 1, rng.randint(1, 9)))
-            triples.append((aisles + i, aisles + i + 1, rng.randint(1, 9)))
-        for i in range(1, aisles + 1):
-            triples.append((i, aisles + i, rng.randint(1, 9)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    graph = BaseGraph.from_edges(n, triples)
-
-    wanted = min(3, n - 1)
-    demand: dict[tuple[int, int], int] = {}
-    while len(demand) < wanted:
-        a = rng.randint(1, n)
-        b = rng.randint(1, n - 1)
-        if b >= a:
-            b += 1
-        demand[(a, b)] = 1
-    requests = tuple(
-        Request(a, b, shortest_path(graph, a, b)[0], 1) for (a, b) in sorted(demand)
-    )
-    return Instance(graph, requests)
-
-
-# --- command line ---
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="scpsolver", description="Exact stacker crane solver")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve an instance file")
-    p_solve.add_argument("file")
-    p_solve.add_argument("--json", action="store_true", help="emit the canonical JSON report")
-
-    p_oracle = sub.add_parser("oracle", help="brute-force an instance and compare with the solver")
-    p_oracle.add_argument("file")
-
-    p_check = sub.add_parser("check", help="re-validate a JSON report against an instance")
-    p_check.add_argument("file")
-    p_check.add_argument("report")
-
-    p_gen = sub.add_parser("gen", help="generate a random instance")
-    p_gen.add_argument("--seed", type=int, default=1)
-    p_gen.add_argument("--n", type=int, default=8, help="max vertex count")
-    p_gen.add_argument("--r", type=int, default=2, help="max cycle rank")
-    p_gen.add_argument("--p", type=int, default=3, help="max request draws")
-    p_gen.add_argument("--cost-max", type=int, default=10)
-
-    p_accept = sub.add_parser("accept", help="run the randomized acceptance properties")
-    p_accept.add_argument("--seed", type=int, default=1)
-    p_accept.add_argument("--count", type=int, default=500)
-
-    args = parser.parse_args(argv)
-    env_seed = os.environ.get("SCP_SEED")
-    if "seed" in args and env_seed is not None:  # the environment wins over --seed
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"malformed input: SCP_SEED is not an integer: {env_seed!r}", file=sys.stderr)
-            return BAD_INPUT
-    try:
-        if args.command == "solve":
-            instance = parse_instance(_read(args.file))
-            report = solve(instance)
-            sys.stdout.write(emit_report(report, "json" if args.json else "text"))
-            return OK
-
-        if args.command == "oracle":
-            instance = parse_instance(_read(args.file))
-            try:
-                oracle = brute_force_tour(instance)
-            except ValueError as exc:
-                print(f"oracle refused: {exc}", file=sys.stderr)
-                return FAIL
-            report = solve(instance)
-            print(f"oracle cost {_cost_text(oracle.cost)} ({oracle.nodes_explored} orders)")
-            print(f"solver cost {_cost_text(report.cost)}")
-            if report.cost == oracle.cost:
-                print("match")
-                return OK
-            print("MISMATCH")
-            return FAIL
-
-        if args.command == "check":
-            instance = parse_instance(_read(args.file))
-            text = _read(args.report)
-            try:
-                cost, tour = parse_report(text)
-            except (ValueError, KeyError, TypeError) as exc:
-                print(f"malformed report: {exc}", file=sys.stderr)
-                return BAD_INPUT
-            check = verify_tour(instance, tour)
-            if check.valid and check.cost == cost:
-                print(f"valid tour, cost {_cost_text(cost)}")
-                return OK
-            print(f"invalid tour: {check.reason or 'cost mismatch'}")
-            return FAIL
-
-        if args.command == "gen":
-            if args.n < 2 or args.r < 0 or args.p < 0 or args.cost_max < 1:
-                print("malformed input: gen needs --n >= 2, --r >= 0, --p >= 0 and --cost-max >= 1", file=sys.stderr)
-                return BAD_INPUT
-            instance = random_instance(args.seed, args.n, args.r, args.p, args.cost_max)
-            comments = (
-                f"seed {args.seed} n_max {args.n} r_max {args.r} p_max {args.p} cost_max {args.cost_max}",
-            )
-            sys.stdout.write(format_instance(instance, comments))
-            return OK
-
-        if args.command == "accept":
-            if args.count < 1:
-                print("malformed input: accept needs --count >= 1", file=sys.stderr)
-                return BAD_INPUT
-            summary = run_acceptance(args.seed, args.count)
-            for name, outcome in summary.results.items():
-                status = "PASS" if outcome.failed == 0 else "FAIL"
-                line = f"{status} {name} {outcome.passed}/{summary.count}"
-                if outcome.failing_seeds:
-                    line += " failing seeds: " + " ".join(str(s) for s in outcome.failing_seeds[:5])
-                print(line)
-            return OK if summary.ok else FAIL
-
-    except InstanceFormatError as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except UnicodeDecodeError as exc:  # only _read decodes bytes
-        print(f"cannot read input: not UTF-8: {exc}", file=sys.stderr)
-        return BAD_INPUT
-    except RuntimeError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return FAIL
-    except MemoryError:  # a demand too large for its tour to fit in memory
-        print("solver error: out of memory", file=sys.stderr)
-        return FAIL
-    except OverflowError as exc:  # a copy count too large even to index a list
-        print(f"solver error: number too large: {exc}", file=sys.stderr)
-        return FAIL
-    raise AssertionError("unreachable")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -87,23 +86,57 @@ class Edge(NamedTuple):
     cost: Cost
 
 
-@dataclass(frozen=True)
-class BaseGraph:
+class FrozenRecord:
+    """Fields set once in ``__init__``, by ``object.__setattr__``, that refuse
+    assignment; equality, hash and repr by the fields named in ``_fields``.
+
+    The base of the two records that validate their input, ``BaseGraph`` and
+    ``circulation.Instance``.  Their derived values are ``cached_property``s,
+    which write the instance dict directly: computed on first read, then
+    read like a field.  Every other record is a named tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class BaseGraph(FrozenRecord):
     """Simple undirected graph with nonnegative edge costs.
 
     Edge ids are positions in ``edges``.  Connectivity is not required here;
     operations that need it check and raise.
     """
 
+    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]):
+        if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        n = self.vertex_count
+        n = vertex_count
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
+        for e in edges:
             u, v, cost = e
             if not 1 <= u < v <= n or (u, v) in seen or cost < 0:
                 # name the first failed check, in this order
@@ -117,6 +150,8 @@ class BaseGraph:
                     raise ValueError(f"parallel edge not allowed: {e}")
                 raise ValueError(f"negative edge cost: {e}")
             seen.add((u, v))
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, Cost]]) -> "BaseGraph":
@@ -156,8 +191,7 @@ class BaseGraph:
         return tuple(map(itemgetter(2), self.edges))
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     """Fundamental cycle basis induced by a spanning tree.
 
     ``cycles[i]`` maps edge_id -> +1/-1 along the unit cycle flow that
@@ -191,8 +225,7 @@ class Segment(NamedTuple):
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SegmentGraph:
+class SegmentGraph(NamedTuple):
     """A base graph with every chain of plain degree-2 vertices compressed.
 
     Its vertices are the base vertices whose degree is not 2, the kept ones
@@ -201,8 +234,10 @@ class SegmentGraph:
     ``vertices[i - 1]``, so ids keep the base order.  Edges are segments,
     loops and parallels allowed, which is why this is not a BaseGraph; it has
     the ``vertex_count``, ``edges`` and ``edge_costs`` the sweep and the
-    repair read.  Segments are listed by their first base edge id, so with
-    every vertex kept, segment i is base edge i in its forward orientation.
+    repair read.  ``edge_costs`` is a field, filled by ``smooth_topology``,
+    because the sweep reads it once per box point.  Segments are listed by
+    their first base edge id, so with every vertex kept, segment i is base
+    edge i in its forward orientation.
 
     Every circulation is constant along a segment (its inner vertices have
     degree 2 and no request), which ``project`` and ``expand`` rely on.
@@ -212,6 +247,7 @@ class SegmentGraph:
     edges: tuple[Segment, ...]
     cycle_rank: int
     branch_vertices: tuple[int, ...]
+    edge_costs: tuple[Cost, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -220,10 +256,6 @@ class SegmentGraph:
     @property
     def branch_count(self) -> int:
         return len(self.branch_vertices)
-
-    @cached_property
-    def edge_costs(self) -> tuple[Cost, ...]:
-        return tuple(s.cost for s in self.edges)
 
     def project(self, edge_flow: Sequence[int]) -> tuple[int, ...]:
         """Segment flows of a base flow that is constant along every segment."""
@@ -387,7 +419,7 @@ def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
             cost = sum(map(costs.__getitem__, ids))
             segments.append(new(Segment, (index[start], index[v], cost, tuple(ids), tuple(signs))))
     segments.sort(key=itemgetter(3))
-    return SegmentGraph(ends, tuple(segments), rank, branch)
+    return SegmentGraph(ends, tuple(segments), rank, branch, tuple(map(itemgetter(2), segments)))
 
 
 def segment_basis(seg: SegmentGraph, tree: frozenset[int]) -> CycleBasis:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat, starmap
 from operator import attrgetter, itemgetter
@@ -24,8 +23,7 @@ KIND_REQUEST = "request"
 KIND_EDGE = "edge"
 
 
-@dataclass(frozen=True)
-class ContractedGraph:
+class ContractedGraph(NamedTuple):
     """Support components shrunk to terminals; edge weights are doubled costs."""
 
     vertices: tuple[int, ...]
@@ -34,8 +32,7 @@ class ContractedGraph:
     vertex_map: dict[int, int]
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
+class ReducedGraph(NamedTuple):
     """Contracted graph after Steiner preprocessing.
 
     Each edge carries the sorted tuple of original edge ids it stands for.
@@ -54,8 +51,7 @@ class SteinerSolution(NamedTuple):
     weight: Cost
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: str  # "request" or "edge"
     source: int
     target: int

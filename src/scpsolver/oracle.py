@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circulation import (
     Circulation,
@@ -48,15 +48,13 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     cost: Cost
     witness: object
     nodes_explored: int
 
 
-@dataclass(frozen=True)
-class TourCheck:
+class TourCheck(NamedTuple):
     valid: bool
     reason: str | None
     cost: Cost | None

@@ -12,8 +12,10 @@ from time import perf_counter
 
 import pytest
 
-from scpsolver.circulation import Circulation, decompose, is_elementary, zero_circulation
-from scpsolver.cli_io import _family_instance, emit_report, format_instance, main, run_acceptance, solve
+from scpsolver.acceptance import _family_instance, decompose, is_elementary, run_acceptance
+from scpsolver.circulation import Circulation, zero_circulation
+from scpsolver.cli import main
+from scpsolver.cli_io import emit_report, format_instance, solve
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
 from scpsolver.graph_core import cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import ReducedGraph, min_steiner_tree

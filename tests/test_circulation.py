@@ -2,22 +2,21 @@ from fractions import Fraction
 
 import pytest
 
+from scpsolver.acceptance import _family_instance, decompose, is_elementary
 from scpsolver.circulation import (
     Circulation,
     Instance,
     Request,
     circulation_cost,
-    decompose,
     edge_flow_conserves,
     initial_circulation,
-    is_elementary,
     is_feasible,
     min_cost_circulation,
+    segment_instance,
     support_connected,
     zero_circulation,
 )
-from scpsolver.cli_io import _family_instance
-from scpsolver.graph_core import BaseGraph, Edge, RootedTree, cycle_rank, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, Edge, RootedTree, cycle_rank, fundamental_cycles, smooth_topology, spanning_tree
 from scpsolver.homology_tour import SteinerSolution
 from scpsolver.oracle import (
     SplitMix64,
@@ -102,6 +101,43 @@ def test_circulation_is_an_immutable_value():
         with pytest.raises(AttributeError):
             a.extra = 1
     assert Request(1, 2, 3) == Request(1, 2, 3, 1)  # demand defaults to 1
+
+
+def test_graph_and_instance_are_immutable_values():
+    def make():
+        return Instance(BaseGraph.from_edges(3, [(1, 2, 1), (3, 2, 2)]), (Request(1, 3, 1),))
+
+    a, b = make(), make()
+    assert a.arc_costs == (1,) and a.base.edge_costs == (1, 2)  # cached values take no part
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.base == b.base and hash(a.base) == hash(b.base)
+    assert a != Instance(a.base, (Request(1, 3, 2),))
+    assert a.base != BaseGraph(4, a.base.edges)
+    assert a != a.base and a.base != (3, a.base.edges)
+    assert repr(a.base) == "BaseGraph(vertex_count=3, edges=(Edge(u=1, v=2, cost=1), Edge(u=2, v=3, cost=2)))"
+    assert repr(a) == f"Instance(base={a.base!r}, requests=(Request(source=1, target=3, cost=1, demand=1),))"
+    for record, name in ((a, "base"), (a, "requests"), (a.base, "vertex_count"), (a.base, "edges")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_per_point_cost_reads_are_built_once():
+    # circulation_cost reads both per box point; a property that rebuilt its
+    # tuple on every read would add a pass over the edges or requests per point
+    instance = _family_instance("grid-aisle", 4, 1)
+    seg = smooth_topology(instance.base, {v for r in instance.requests for v in (r.source, r.target)})
+    inner = segment_instance(instance, seg)
+    assert inner.base.edge_costs is inner.base.edge_costs
+    assert inner.arc_costs is inner.arc_costs
+    assert instance.base.edge_costs is instance.base.edge_costs
+    assert instance.base.adjacency is instance.base.adjacency
+    assert instance.arc_costs is instance.arc_costs
+    assert inner.base.edge_costs == tuple(s.cost for s in seg.edges)
 
 
 # --- cost and feasibility ---

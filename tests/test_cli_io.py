@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -10,22 +9,18 @@ from json.encoder import encode_basestring_ascii
 import pytest
 
 import scpsolver
-from scpsolver import cli_io, graph_core
+from scpsolver import acceptance, cli, cli_io, graph_core
+from scpsolver.acceptance import _family_instance, run_acceptance
 from scpsolver.circulation import Circulation, Instance, Request, circulation_cost, min_cost_circulation
+from scpsolver.cli import BAD_INPUT, FAIL, OK, main
 from scpsolver.cli_io import (
-    BAD_INPUT,
-    FAIL,
     MAX_DIGITS,
-    OK,
     InstanceFormatError,
     _cost_text,
-    _family_instance,
     emit_report,
     format_instance,
-    main,
     parse_instance,
     parse_report,
-    run_acceptance,
     solve,
 )
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
@@ -551,7 +546,7 @@ def test_solve_scales_fraction_and_float_costs_to_one_integer_instance():
         got = solve(inst)
         assert got.cost == want.cost * factor and got.tour.total == got.cost
         assert got.tour.keys == want.tour.keys and got.tour.runs == want.tour.runs
-        assert dataclasses.replace(got, tour=want.tour, cost=want.cost) == want
+        assert got._replace(tour=want.tour, cost=want.cost) == want
 
 
 def test_text_report_step_lines_match_per_step_formatting(bulk_case, rendered_reports):
@@ -572,7 +567,7 @@ def test_json_report_steps_match_per_step_formatting(rendered_reports):
 
 def test_reports_of_flat_tours_match_per_step_formatting(rendered_reports):
     for report in rendered_reports[1:]:
-        report = dataclasses.replace(report, tour=Tour(report.tour.steps, report.tour.total))
+        report = report._replace(tour=Tour(report.tour.steps, report.tour.total))
         assert json_steps(emit_report(report, "json")) == reference_json_steps(report)
         assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
 
@@ -628,7 +623,7 @@ def test_run_acceptance_passes_and_is_deterministic():
 
 def test_run_acceptance_flags_a_relaxation_off_its_optimum(monkeypatch):
     """The shifted relaxation is a feasible circulation, but neither optimal nor near the optimum."""
-    relax = cli_io.min_cost_circulation
+    relax = acceptance.min_cost_circulation
 
     def shifted(instance):
         f = relax(instance)
@@ -640,7 +635,7 @@ def test_run_acceptance_flags_a_relaxation_off_its_optimum(monkeypatch):
             flows[eid] += 2 * sign
         return Circulation(tuple(flows), f.arc_flow)
 
-    monkeypatch.setattr(cli_io, "min_cost_circulation", shifted)
+    monkeypatch.setattr(acceptance, "min_cost_circulation", shifted)
     summary = run_acceptance(seed=5, count=40)
     assert not summary.ok
     for name in ("proximity", "relaxation"):
@@ -651,26 +646,26 @@ def test_run_acceptance_flags_a_relaxation_off_its_optimum(monkeypatch):
 
 
 def test_run_acceptance_flags_a_wrong_solver_cost(monkeypatch):
-    honest = cli_io.solve
+    honest = acceptance.solve
 
     def off_by_one(instance):
         report = honest(instance)
-        return dataclasses.replace(report, cost=report.cost + 1)
+        return report._replace(cost=report.cost + 1)
 
-    monkeypatch.setattr(cli_io, "solve", off_by_one)
+    monkeypatch.setattr(acceptance, "solve", off_by_one)
     summary = run_acceptance(seed=5, count=12)
     assert not summary.ok
     assert summary.results["solve_matches_oracle"].failed == 12
 
 
 def test_run_acceptance_flags_a_wrong_candidate_count(monkeypatch):
-    honest = cli_io.solve
+    honest = acceptance.solve
 
     def miscounted(instance):
         report = honest(instance)
-        return dataclasses.replace(report, candidates_evaluated=report.candidates_evaluated + 1)
+        return report._replace(candidates_evaluated=report.candidates_evaluated + 1)
 
-    monkeypatch.setattr(cli_io, "solve", miscounted)
+    monkeypatch.setattr(acceptance, "solve", miscounted)
     summary = run_acceptance(seed=5, count=12)
     assert not summary.ok
     assert summary.results["candidate_count"].failed == 12
@@ -849,6 +844,22 @@ def test_python_dash_m_scpsolver_matches_main(tmp_path, capsys):
     assert proc.stdout == capsys.readouterr().out.encode()
 
 
+def test_python_dash_m_scpsolver_cli_runs_without_warning(tmp_path):
+    # the package root does not import scpsolver.cli, so runpy finds no
+    # half-imported module and warns nothing; a warning here exits nonzero
+    f = tmp_path / "ring.scp"
+    f.write_text(RING_TEXT, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scpsolver.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = [sys.executable, "-W", "error::RuntimeWarning", "-m"]
+    proc = subprocess.run([*run, "scpsolver.cli", "solve", str(f), "--json"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == OK, proc.stderr
+    assert proc.stderr == b""
+    package = subprocess.run([*run, "scpsolver", "solve", str(f), "--json"], capture_output=True, env=env, timeout=60)
+    assert package.returncode == OK, package.stderr
+    assert proc.stdout == package.stdout != b""
+
+
 def test_cli_solve_missing_file(capsys):
     assert main(["solve", "/nonexistent/x.scp"]) == BAD_INPUT
     assert "cannot read" in capsys.readouterr().err
@@ -866,7 +877,7 @@ def test_cli_solve_reports_solver_error_without_traceback(ring_file, capsys, mon
     def faulty(instance):
         raise RuntimeError("winning tour cost disagrees with candidate cost")
 
-    monkeypatch.setattr(cli_io, "solve", faulty)
+    monkeypatch.setattr(cli, "solve", faulty)
     assert main(["solve", ring_file]) == FAIL
     out, err = capsys.readouterr()
     assert (out, err) == ("", "solver error: winning tour cost disagrees with candidate cost\n")
@@ -911,7 +922,7 @@ def test_cli_solve_reports_out_of_memory_without_traceback(ring_file, capsys, mo
     def exhausted(instance):
         raise MemoryError
 
-    monkeypatch.setattr(cli_io, "solve", exhausted)
+    monkeypatch.setattr(cli, "solve", exhausted)
     assert main(["solve", ring_file]) == FAIL
     out, err = capsys.readouterr()
     assert (out, err) == ("", "solver error: out of memory\n")

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, random_instance, shortest_path, solve
-from scpsolver.cli_io import _family_instance
+from scpsolver.acceptance import _family_instance
 from scpsolver.graph_core import SegmentGraph
 from scpsolver.oracle import SplitMix64
 

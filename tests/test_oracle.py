@@ -1,13 +1,12 @@
 import pytest
 
+from scpsolver.acceptance import decompose, is_elementary
 from scpsolver.circulation import (
     Circulation,
     Instance,
     Request,
     circulation_cost,
-    decompose,
     edge_flow_conserves,
-    is_elementary,
     is_feasible,
 )
 from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, shortest_path, spanning_tree

@@ -67,6 +67,17 @@ class Instance(FrozenRecord):
         """Request costs indexed by arc_id."""
         return tuple(map(itemgetter(2), self.requests))
 
+    @cached_property
+    def demands(self) -> tuple[int, ...]:
+        """Request demands indexed by arc_id: the arc flows of every feasible
+        circulation.  ``min_cost_circulation`` returns this very tuple."""
+        return tuple(map(itemgetter(3), self.requests))
+
+    @cached_property
+    def demand_cost(self) -> Cost:
+        """Demand times request cost over the arcs, added left to right from 0."""
+        return sum(map(mul, self.demands, self.arc_costs))
+
 
 class Circulation(NamedTuple):
     """Edge and arc flows, indexed by edge_id and arc_id (request position).
@@ -126,10 +137,20 @@ def circulation_cost(instance: Instance, f: Circulation) -> Cost:
     """Arc flow times request cost over the arcs, then |edge flow| times edge
     cost over the edges, added left to right from 0.
 
-    Both sums run at C level.  Costs are exact, so the total does not
-    depend on the order of the terms.
+    Both sums run at C level.  The sweep prices every box point, and every
+    candidate carries the instance's own ``demands`` tuple as its arc flows,
+    so when ``f.arc_flow is instance.demands`` the arc sum is the cached
+    ``demand_cost`` and only the m edge terms are added per call.  The test
+    is identity, not equality: it is O(1), and a value-equal arc flow of
+    another tuple (floats, say) is summed as before, so the type of the
+    total cannot change.  Costs are exact, so the total does not depend on
+    the order of the terms.
     """
-    arcs = sum(map(mul, f.arc_flow, instance.arc_costs))
+    arc_flow = f.arc_flow
+    if arc_flow is instance.demands:
+        arcs = instance.demand_cost
+    else:
+        arcs = sum(map(mul, arc_flow, instance.arc_costs))
     return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
 
 
@@ -181,7 +202,6 @@ def min_cost_circulation(instance: Instance) -> Circulation:
     with them the optimum returned, are deterministic.
     """
     graph = instance.base
-    demands = tuple(map(itemgetter(3), instance.requests))
     n = graph.vertex_count
     weight = graph.edge_costs
     adjacency = graph.adjacency
@@ -251,4 +271,4 @@ def min_cost_circulation(instance: Instance) -> Circulation:
         excess[v] -= delta
         excess[sink] += delta
         sources = [v for v in sources if excess[v] > 0]
-    return Circulation(tuple(flows), demands)
+    return Circulation(tuple(flows), instance.demands)

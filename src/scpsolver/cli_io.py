@@ -264,7 +264,7 @@ def parse_instance(text: str) -> Instance:
     if n > len(edges) + 1:
         # refused before the adjacency of a huge vertex count is built
         raise InstanceFormatError(0, "not-connected", f"{len(edges)} edges cannot connect {n} vertices")
-    graph = BaseGraph(n, tuple(edges))
+    graph = BaseGraph._parsed(n, tuple(edges))  # every edge was checked above
     if not graph.connected:
         raise InstanceFormatError(0, "not-connected", "graph is not connected")
     requests = tuple([new(Request, (s, t, cost, demand)) for (s, t), (cost, demand) in merged.items()])
@@ -314,12 +314,15 @@ def solve(instance: Instance) -> SolveReport:
     are built on the base graph, so reports do not depend on the
     compression.
 
-    Every box point is priced once, in Gray order.  A point whose base cost
-    is at most the incumbent's total joins a batch, and a full batch (and
-    the last one) is repaired in ascending base cost, so the cheapest
-    points set the incumbent before the dearer ones are reached: on
-    relax-chain this repairs a third as many points as repairing each one
-    in Gray order.
+    Every box point is priced once, in Gray order, by one
+    ``circulation_cost`` call; every candidate carries the segment
+    instance's own ``demands`` tuple, so only the segment terms are summed
+    per point.  A point whose base cost is at most the incumbent's total
+    (``bound``, infinite until the first batch is repaired) joins a batch,
+    and a full batch (and the last one) is repaired in ascending base cost,
+    so the cheapest points set the incumbent before the dearer ones are
+    reached: on relax-chain this repairs a third as many points as
+    repairing each one in Gray order.
 
     Ties go to the lexicographically smallest lambda, whatever the order of
     the sweep or of a batch: a point is skipped only when its total cannot
@@ -346,6 +349,7 @@ def solve(instance: Instance) -> SolveReport:
             cost=Fraction(report.cost, scale),
         )
 
+    cost_of = circulation_cost  # looked up once per solve, not once per box point
     n, m, p = graph.vertex_count, len(graph.edges), len(instance.requests)
     seg = smooth_topology(graph, {v for req in instance.requests for v in (req.source, req.target)})
     r, k = seg.cycle_rank, seg.branch_count
@@ -355,15 +359,18 @@ def solve(instance: Instance) -> SolveReport:
     tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
     inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
-    f_seg = Circulation(seg.project(f.edge_flow), f.arc_flow)
+    # every candidate shares these arc flows, so circulation_cost adds the
+    # request term once per instance, not once per box point
+    f_seg = Circulation(seg.project(f.edge_flow), inner.demands)
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
+    bound: Cost | float = math.inf  # the incumbent's total once a batch is repaired
     pending: list[tuple[Cost, Circulation]] = []
 
     def repair_pending() -> None:
         # cheapest first, so the incumbent tightens before the dearer points
-        nonlocal best
+        nonlocal best, bound
         pending.sort(key=itemgetter(0))
         for base_cost, g in pending:
             if best is not None and base_cost > best[0]:
@@ -376,10 +383,11 @@ def solve(instance: Instance) -> SolveReport:
             if best is None or total < best[0] or (total == best[0] and lam < best[1]):
                 best = (total, lam, g, st)
         pending.clear()
+        bound = best[0]
 
     for g in enumerate_candidates(f_seg, basis, r):
-        base_cost = circulation_cost(inner, g)
-        if best is None or base_cost <= best[0]:
+        base_cost = cost_of(inner, g)
+        if base_cost <= bound:
             pending.append((base_cost, g))
             if len(pending) == REPAIR_BATCH:
                 repair_pending()

@@ -154,6 +154,23 @@ class BaseGraph(FrozenRecord):
         object.__setattr__(self, "edges", edges)
 
     @classmethod
+    def _parsed(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "BaseGraph":
+        """A graph from ``cli_io.parse_instance``, without ``__init__``'s
+        second pass over the edges.
+
+        It relies on the parser's own line-by-line checks, which refuse
+        every graph ``__init__`` would: a vertex count below 1
+        (``bad-size``), an endpoint outside 1..n (``bad-vertex``), u == v
+        (``self-loop``), a negative cost (``negative-cost``) and a pair given
+        twice (``duplicate-edge``); and the parser stores each edge as (lower,
+        higher).  Every other caller builds ``BaseGraph(...)``, which checks.
+        """
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
+    @classmethod
     def from_edges(cls, vertex_count: int, triples: Iterable[tuple[int, int, Cost]]) -> "BaseGraph":
         """Build a graph normalizing each (u, v, cost) triple to u < v."""
         new = tuple.__new__

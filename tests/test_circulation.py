@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -138,6 +139,53 @@ def test_per_point_cost_reads_are_built_once():
     assert instance.base.adjacency is instance.base.adjacency
     assert instance.arc_costs is instance.arc_costs
     assert inner.base.edge_costs == tuple(s.cost for s in seg.edges)
+    # the sweep prices its candidates' arc flows as the cached request term
+    assert inner.demands is inner.demands
+    assert inner.demands == tuple(r.demand for r in inner.requests)
+    assert min_cost_circulation(instance).arc_flow is instance.demands
+    tenths = _tenths(instance)
+    assert tenths.demand_cost is tenths.demand_cost
+    assert tenths.demand_cost == sum(r.demand * r.cost for r in tenths.requests)
+
+
+def _tenths(instance):
+    """The instance with every edge and request cost c turned into c/10."""
+    graph = BaseGraph.from_edges(instance.base.vertex_count, [(e.u, e.v, Fraction(e.cost, 10)) for e in instance.base.edges])
+    return Instance(graph, tuple(r._replace(cost=Fraction(r.cost, 10)) for r in instance.requests))
+
+
+def _two_sums(instance, f):
+    """circulation_cost as both sums over every call: arc flow times request
+    cost, then |edge flow| times edge cost, from 0."""
+    arcs = sum(map(mul, f.arc_flow, instance.arc_costs))
+    return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
+
+
+def test_circulation_cost_matches_the_two_sum_formula():
+    rng = SplitMix64(27)
+    kinds = set()
+    for i in range(300):
+        inst = random_instance(rng.next64(), 10, 4, 6, 20)
+        if i % 2:
+            inst = _tenths(inst)
+        edge_flow = tuple(rng.randint(-6, 6) for _ in inst.base.edges)
+        demands = inst.demands
+        arc_flows = {
+            "demands": demands,
+            "equal copy": tuple(list(demands)),
+            "equal floats": tuple(map(float, demands)),
+            "zero": (0,) * len(demands),
+            "doubled": tuple(2 * d for d in demands),
+        }
+        if demands:
+            assert arc_flows["equal copy"] is not demands
+        for kind, arc_flow in arc_flows.items():
+            f = Circulation(edge_flow, arc_flow)
+            got, want = circulation_cost(inst, f), _two_sums(inst, f)
+            assert type(got) is type(want), kind
+            assert got == want, kind
+            kinds.add((kind, type(got)))
+    assert {("demands", int), ("demands", Fraction), ("equal floats", float)} <= kinds
 
 
 # --- cost and feasibility ---

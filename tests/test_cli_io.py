@@ -352,6 +352,43 @@ def test_any_repair_batch_matches_the_reference_sweep(monkeypatch, batch):
             assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
 
 
+def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypatch):
+    # the sweep's contract at library scale: one candidate and one
+    # circulation_cost call per box point, and every candidate carries the
+    # swept instance's own demands tuple, so its request term is the cached
+    # one and is not summed again per point
+    walk, price = cli_io.enumerate_candidates, cli_io.circulation_cost
+    yielded = 0
+    on_demands: list[bool] = []
+
+    def counted_walk(f, basis, k):
+        nonlocal yielded
+        for g in walk(f, basis, k):
+            yielded += 1
+            yield g
+
+    def recorded_price(instance, g):
+        on_demands.append(g.arc_flow is instance.demands)
+        return price(instance, g)
+
+    monkeypatch.setattr(cli_io, "enumerate_candidates", counted_walk)
+    monkeypatch.setattr(cli_io, "circulation_cost", recorded_price)
+    rng = SplitMix64(20)
+    instances = [_family_instance("grid-aisle", size, 1) for size in range(3, 7)]
+    instances += [random_instance(rng.next64(), 10, 4, 6, 20) for _ in range(50)]
+    ranks = set()
+    for instance in instances:
+        yielded = 0
+        on_demands.clear()
+        report = solve(instance)
+        box = (2 * report.r + 1) ** report.r if instance.requests else 0
+        assert report.candidates_evaluated == box
+        assert yielded == len(on_demands) == box
+        assert all(on_demands)
+        ranks.add(report.r)
+    assert {2, 3, 4, 5} <= ranks
+
+
 def repaired_costs(monkeypatch, instance, batch):
     """solve's report, and the base costs of the points it repairs on the
     segment graph, in repair order."""

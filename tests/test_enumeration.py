@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from scpsolver.acceptance import _family_instance
 from scpsolver.circulation import (
     Circulation,
     Instance,
@@ -10,10 +11,12 @@ from scpsolver.circulation import (
     circulation_cost,
     initial_circulation,
     is_feasible,
+    min_cost_circulation,
+    segment_instance,
     zero_circulation,
 )
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
-from scpsolver.graph_core import BaseGraph, fundamental_cycles, spanning_tree
+from scpsolver.graph_core import BaseGraph, fundamental_cycles, segment_basis, smooth_topology, spanning_tree
 from scpsolver.oracle import SplitMix64, random_instance
 
 
@@ -140,6 +143,22 @@ def test_candidates_match_from_scratch_evaluation():
                 assert type(got) is Circulation
                 assert (got.edge_flow, got.arc_flow) == (want.edge_flow, want.arc_flow)
     assert ranks == {0, 1, 2, 3, 4}
+    # the bases solve sweeps: grid-aisle 3-6 on segments, r = 2..5; k = r up
+    # to r = 4, k = 1 at r = 5, and the one-point box k = 0
+    for size in range(3, 7):
+        inst = _family_instance("grid-aisle", size, 1)
+        seg = smooth_topology(inst.base, {v for q in inst.requests for v in (q.source, q.target)})
+        inner, basis = segment_instance(inst, seg), segment_basis(seg, spanning_tree(inst.base))
+        f = Circulation(seg.project(min_cost_circulation(inst).edge_flow), inner.demands)
+        r = len(basis.non_tree_edges)
+        assert r == size - 1
+        for k in sorted({0, 1, r if r < 5 else 1}):
+            cands = list(enumerate_candidates(f, basis, k))
+            assert len(cands) == (2 * k + 1) ** r
+            for lam, got in zip(_reference_gray(r, k), cands):
+                assert type(got) is Circulation
+                assert got.edge_flow == _apply(f, basis, lam).edge_flow
+                assert got.arc_flow is inner.demands
 
 
 def test_candidates_reject_negative_radius():

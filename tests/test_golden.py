@@ -116,6 +116,15 @@ def test_reports_match_golden_digests():
     assert not changed, f"{len(changed)} reports changed, first: {changed[:10]}"
 
 
+def test_parsed_graphs_equal_the_checked_graphs():
+    # parse_instance builds its graph without BaseGraph's own pass over the
+    # edges; the checked constructor must accept that graph and give the same
+    for name, instance in cases().items():
+        graph = cli_io.parse_instance(cli_io.format_instance(instance)).base
+        assert type(graph) is BaseGraph, name
+        assert graph == BaseGraph(graph.vertex_count, graph.edges) == instance.base, name
+
+
 def test_segment_sweep_picks_the_base_sweeps_lambda(monkeypatch):
     # the sweep runs on segments with the projected basis; the reference runs
     # on the base graph with fundamental_cycles, as solve did before segments.

@@ -15,19 +15,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .circulation import (
-    Circulation,
-    Instance,
-    Request,
-    circulation_cost,
-    edge_flow_conserves,
-    min_cost_circulation,
-    support_connected,
-)
+from .circulation import Circulation, Instance, Request, circulation_cost, min_cost_circulation
 from .cli_io import solve
 from .enumeration import gray_code_lambdas
-from .graph_core import BaseGraph, Cost, cycle_rank, shortest_path
-from .oracle import SplitMix64, brute_force_tour, random_instance, verify_tour
+from .graph_core import BaseGraph, Cost, cycle_rank
+from .oracle import SplitMix64, brute_force_tour, edge_flow_conserves, random_instance, shortest_path, support_connected, verify_tour
 
 
 class PropertyOutcome(NamedTuple):

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .graph_core import BaseGraph, Cost, CycleBasis, FrozenRecord, SegmentGraph, component_roots, rooted_tree
+from .graph_core import BaseGraph, Cost, FrozenRecord, SegmentGraph
 
 
 class Request(NamedTuple):
@@ -92,36 +90,6 @@ class Circulation(NamedTuple):
     arc_flow: tuple[int, ...]
 
 
-def zero_circulation(instance: Instance) -> Circulation:
-    return Circulation((0,) * len(instance.base.edges), (0,) * len(instance.requests))
-
-
-def _conserves(vertex_count: int, flows: Iterable[tuple[int, int, int]]) -> bool:
-    """True when the (tail, head, flow) triples leave every vertex balanced."""
-    bal = [0] * (vertex_count + 1)
-    for u, v, x in flows:
-        bal[u] += x
-        bal[v] -= x
-    return not any(bal)
-
-
-def edge_flow_conserves(graph: BaseGraph, edge_flow: tuple[int, ...]) -> bool:
-    return _conserves(graph.vertex_count, ((e.u, e.v, edge_flow[eid]) for eid, e in enumerate(graph.edges)))
-
-
-def is_feasible(instance: Instance, f: Circulation) -> bool:
-    """Conservation at every vertex and arc flows equal to demands."""
-    if len(f.edge_flow) != len(instance.base.edges):
-        return False
-    if len(f.arc_flow) != len(instance.requests):
-        return False
-    if any(f.arc_flow[aid] != r.demand for aid, r in enumerate(instance.requests)):
-        return False
-    edges = ((e.u, e.v, x) for e, x in zip(instance.base.edges, f.edge_flow))
-    arcs = ((r.source, r.target, x) for r, x in zip(instance.requests, f.arc_flow))
-    return _conserves(instance.base.vertex_count, chain(edges, arcs))
-
-
 def segment_instance(instance: Instance, seg: SegmentGraph) -> Instance:
     """The instance on the segment graph of its base graph.
 
@@ -159,28 +127,6 @@ def support_pairs(instance: Instance, f: Circulation) -> list[tuple[int, int]]:
     pairs = [(e.u, e.v) for e, val in zip(instance.base.edges, f.edge_flow) if val]
     pairs += [(r.source, r.target) for r, val in zip(instance.requests, f.arc_flow) if val]
     return pairs
-
-
-def support_connected(instance: Instance, f: Circulation) -> bool:
-    """True when the nonzero edges and arcs form one connected subgraph."""
-    pairs = support_pairs(instance, f)
-    roots = component_roots(instance.base.vertex_count + 1, pairs)
-    return len({roots[u] for u, _ in pairs}) <= 1
-
-
-def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
-    """Feasible start: each demand returns along the spanning tree path."""
-    graph = instance.base
-    rooted = rooted_tree(graph, basis.tree)
-    flows = [0] * len(graph.edges)
-    for r in instance.requests:
-        # subtracting d along source->target equals routing d back through the tree
-        for x, _, eid in rooted.path(r.source, r.target):
-            if x == graph.edges[eid].u:
-                flows[eid] -= r.demand
-            else:
-                flows[eid] += r.demand
-    return Circulation(tuple(flows), tuple(r.demand for r in instance.requests))
 
 
 def min_cost_circulation(instance: Instance) -> Circulation:

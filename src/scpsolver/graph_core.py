@@ -6,7 +6,6 @@ Vertices are integers 1..n.  Every edge gets a fixed forward orientation,
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -472,88 +471,3 @@ def segment_basis(seg: SegmentGraph, tree: frozenset[int]) -> CycleBasis:
         cycles.append(cycle)
     return CycleBasis(seg_tree, non_tree, tuple(cycles))
 
-
-def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
-    """Min-cost path; ties broken by lexicographically smallest vertex list.
-
-    Dijkstra from the source settles vertices until the target, each at a
-    distance d summed along a path from the source.  Call an edge v -> w
-    tight when v settled before w and d(v) + c == d(w): the tight paths to
-    the target are its shortest paths, each summing to d(target) step by
-    step, and they form a DAG.  A backward pass from the target marks the
-    vertices with a tight path to it, and a forward walk from the source
-    takes, at each vertex, its least marked neighbor over a tight edge,
-    which spells out the lexicographically smallest of them.  O(m log n) in
-    all.
-
-    A zero-cost edge can join two vertices at one distance, and a tight
-    step between them would then follow the settling order rather than the
-    path order.  So a graph with a zero-cost edge takes the search whose
-    heap entries carry their whole vertex lists instead: the same answer,
-    quadratic in the path length.
-    """
-    for v in (source, target):
-        if not (1 <= v <= graph.vertex_count):
-            raise ValueError(f"vertex out of range: {v}")
-    if source == target:
-        return 0, (source,)
-    if 0 in graph.edge_costs:
-        return _shortest_path_carrying_paths(graph, source, target)
-    adjacency, costs = graph.adjacency, graph.edge_costs
-    dist: list[Cost] = [0] * (graph.vertex_count + 1)
-    rank = [0] * (graph.vertex_count + 1)  # settling order, 0 while unsettled
-    heap: list[tuple[Cost, int]] = [(0, source)]
-    pop, push = heapq.heappop, heapq.heappush
-    settled = 0
-    while not rank[target]:
-        if not heap:
-            raise ValueError(f"no path between {source} and {target}")
-        d, v = pop(heap)
-        if rank[v]:
-            continue
-        settled += 1
-        dist[v], rank[v] = d, settled
-        for w, eid in adjacency[v]:
-            if not rank[w]:
-                push(heap, (d + costs[eid], w))
-
-    marked = [False] * (graph.vertex_count + 1)
-    marked[target] = True
-    stack = [target]
-    while stack:  # every v with a tight path to the target
-        w = stack.pop()
-        dw, rw = dist[w], rank[w]
-        for v, eid in adjacency[w]:
-            if not marked[v] and 0 < rank[v] < rw and dist[v] + costs[eid] == dw:
-                marked[v] = True
-                stack.append(v)
-    path = [source]
-    v = source
-    while v != target:  # on to the least marked neighbor over a tight edge
-        dv, rv = dist[v], rank[v]
-        for w, eid in adjacency[v]:
-            if marked[w] and rank[w] > rv and dv + costs[eid] == dist[w]:
-                break
-        path.append(w)
-        v = w
-    return dist[target], tuple(path)
-
-
-def _shortest_path_carrying_paths(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
-    """Dijkstra on (distance, vertex list) heap entries: the first entry
-    popped for the target is the cheapest path, lexicographically smallest
-    among equal costs, zero-cost edges included."""
-    heap: list[tuple[Cost, tuple[int, ...]]] = [(0, (source,))]
-    done: set[int] = set()
-    while heap:
-        dist, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in done:
-            continue
-        done.add(v)
-        if v == target:
-            return dist, path
-        for w, eid in graph.adjacency[v]:
-            if w not in done:
-                heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
-    raise ValueError(f"no path between {source} and {target}")

@@ -16,7 +16,7 @@ from itertools import chain, compress, repeat, starmap
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .circulation import Circulation, Instance, circulation_cost, support_connected, support_pairs
+from .circulation import Circulation, Instance, support_pairs
 from .graph_core import Cost, UnionFind, component_roots
 
 KIND_REQUEST = "request"
@@ -138,16 +138,16 @@ class EulerMultigraph:
         return tuple(chain.from_iterable(map(repeat, self.counts, self.counts.values())))
 
 
-def contract_support(instance: Instance, g: Circulation) -> ContractedGraph:
+def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, int]], roots: list[int]) -> ContractedGraph:
     """One quotient vertex per support component, one per untouched vertex.
 
-    Quotient ids follow least vertices: component roots are least members,
-    so one ascending pass numbers each component when it reaches its least
-    vertex, and a later member takes its root's id.
+    ``pairs`` is ``support_pairs(instance, g)`` and ``roots`` their
+    ``component_roots``, as ``connectivity_repair`` computed them.  Quotient
+    ids follow least vertices: component roots are least members, so one
+    ascending pass numbers each component when it reaches its least vertex,
+    and a later member takes its root's id.
     """
     graph = instance.base
-    pairs = support_pairs(instance, g)
-    roots = component_roots(graph.vertex_count + 1, pairs)
     vertex_map: dict[int, int] = {}
     count = 0
     for v in range(1, graph.vertex_count + 1):
@@ -290,12 +290,14 @@ def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
     """Doubled edges needed to join the support of g into one component.
 
     Most candidates near the optimum have a connected support; they are
-    answered by one union-find pass, without building the quotient.
+    answered by one union-find pass, without building the quotient.  A split
+    support hands that pass's pairs and roots on to ``contract_support``.
     """
-    if support_connected(instance, g):
+    pairs = support_pairs(instance, g)
+    roots = component_roots(instance.base.vertex_count + 1, pairs)
+    if len({roots[u] for u, _ in pairs}) <= 1:
         return SteinerSolution(frozenset(), 0)
-    cg = contract_support(instance, g)
-    reduced = steiner_preprocess(cg)
+    reduced = steiner_preprocess(contract_support(instance, g, pairs, roots))
     return min_steiner_tree(reduced, reduced.terminals)
 
 
@@ -439,15 +441,3 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     total = sum([sum(map(cost.__getitem__, seq)) * copies for seq, copies in popped])
     return Tour.from_runs(list(zip(kind, tail, head, ref)), popped, total)
 
-
-def tour_in_class(instance: Instance, g: Circulation) -> Tour:
-    """Cheapest tour whose traversal counts realize the class of g.
-
-    Its cost is circulation_cost(g) plus the connectivity repair weight.
-    """
-    st = connectivity_repair(instance, g)
-    tour = euler_tour(build_euler_multigraph(instance, g, st))
-    expected = circulation_cost(instance, g) + st.weight
-    if tour.total != expected:
-        raise RuntimeError("tour cost disagrees with class cost")
-    return tour

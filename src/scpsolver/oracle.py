@@ -1,26 +1,24 @@
-"""Brute-force oracles, tour verification, and instance generators.
+"""Brute-force oracles, tour verification, instance generators, and the
+helpers only the harness and the tests call (``shortest_path``, the
+feasibility checks, ``support_connected``, ``tour_in_class``).
 
-Everything here is deliberately independent of the solver pipeline: tours
-are found by trying cyclic orders, circulations by sweeping a coefficient
-box, Steiner trees by Prim over vertex subsets.  Guards raise on inputs too
-large to sweep so nothing silently truncates.
+The oracles are deliberately independent of the solver pipeline: tours are
+found by trying cyclic orders, circulations by sweeping a coefficient box,
+Steiner trees by Prim over vertex subsets.  Guards raise on inputs too large
+to sweep so nothing silently truncates.  No solve module imports this one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right, insort
+from collections.abc import Iterable
 from typing import NamedTuple
 
-from .circulation import (
-    Circulation,
-    Instance,
-    Request,
-    circulation_cost,
-    initial_circulation,
-)
-from .graph_core import BaseGraph, Cost, CycleBasis, shortest_path
-from .homology_tour import KIND_EDGE, KIND_REQUEST, ReducedGraph, Step, Tour
+from .circulation import Circulation, Instance, Request, circulation_cost, support_pairs
+from .graph_core import BaseGraph, Cost, CycleBasis, component_roots, rooted_tree
+from .homology_tour import KIND_EDGE, KIND_REQUEST, ReducedGraph, Step, Tour, build_euler_multigraph, connectivity_repair, euler_tour
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +57,157 @@ class TourCheck(NamedTuple):
     reason: str | None
     cost: Cost | None
     circulation: Circulation | None
+
+
+def shortest_path(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
+    """Min-cost path; ties broken by lexicographically smallest vertex list.
+
+    Dijkstra from the source settles vertices until the target, each at a
+    distance d summed along a path from the source.  Call an edge v -> w
+    tight when v settled before w and d(v) + c == d(w): the tight paths to
+    the target are its shortest paths, each summing to d(target) step by
+    step, and they form a DAG.  A backward pass from the target marks the
+    vertices with a tight path to it, and a forward walk from the source
+    takes, at each vertex, its least marked neighbor over a tight edge,
+    which spells out the lexicographically smallest of them.  O(m log n) in
+    all.
+
+    A zero-cost edge can join two vertices at one distance, and a tight
+    step between them would then follow the settling order rather than the
+    path order.  So a graph with a zero-cost edge takes the search whose
+    heap entries carry their whole vertex lists instead: the same answer,
+    quadratic in the path length.
+    """
+    for v in (source, target):
+        if not (1 <= v <= graph.vertex_count):
+            raise ValueError(f"vertex out of range: {v}")
+    if source == target:
+        return 0, (source,)
+    if 0 in graph.edge_costs:
+        return _shortest_path_carrying_paths(graph, source, target)
+    adjacency, costs = graph.adjacency, graph.edge_costs
+    dist: list[Cost] = [0] * (graph.vertex_count + 1)
+    rank = [0] * (graph.vertex_count + 1)  # settling order, 0 while unsettled
+    heap: list[tuple[Cost, int]] = [(0, source)]
+    pop, push = heapq.heappop, heapq.heappush
+    settled = 0
+    while not rank[target]:
+        if not heap:
+            raise ValueError(f"no path between {source} and {target}")
+        d, v = pop(heap)
+        if rank[v]:
+            continue
+        settled += 1
+        dist[v], rank[v] = d, settled
+        for w, eid in adjacency[v]:
+            if not rank[w]:
+                push(heap, (d + costs[eid], w))
+
+    marked = [False] * (graph.vertex_count + 1)
+    marked[target] = True
+    stack = [target]
+    while stack:  # every v with a tight path to the target
+        w = stack.pop()
+        dw, rw = dist[w], rank[w]
+        for v, eid in adjacency[w]:
+            if not marked[v] and 0 < rank[v] < rw and dist[v] + costs[eid] == dw:
+                marked[v] = True
+                stack.append(v)
+    path = [source]
+    v = source
+    while v != target:  # on to the least marked neighbor over a tight edge
+        dv, rv = dist[v], rank[v]
+        for w, eid in adjacency[v]:
+            if marked[w] and rank[w] > rv and dv + costs[eid] == dist[w]:
+                break
+        path.append(w)
+        v = w
+    return dist[target], tuple(path)
+
+
+def _shortest_path_carrying_paths(graph: BaseGraph, source: int, target: int) -> tuple[Cost, tuple[int, ...]]:
+    """Dijkstra on (distance, vertex list) heap entries: the first entry
+    popped for the target is the cheapest path, lexicographically smallest
+    among equal costs, zero-cost edges included."""
+    heap: list[tuple[Cost, tuple[int, ...]]] = [(0, (source,))]
+    done: set[int] = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in done:
+            continue
+        done.add(v)
+        if v == target:
+            return dist, path
+        for w, eid in graph.adjacency[v]:
+            if w not in done:
+                heapq.heappush(heap, (dist + graph.edges[eid].cost, path + (w,)))
+    raise ValueError(f"no path between {source} and {target}")
+
+
+def zero_circulation(instance: Instance) -> Circulation:
+    return Circulation((0,) * len(instance.base.edges), (0,) * len(instance.requests))
+
+
+def _conserves(vertex_count: int, flows: Iterable[tuple[int, int, int]]) -> bool:
+    """True when the (tail, head, flow) triples leave every vertex balanced."""
+    bal = [0] * (vertex_count + 1)
+    for u, v, x in flows:
+        bal[u] += x
+        bal[v] -= x
+    return not any(bal)
+
+
+def edge_flow_conserves(graph: BaseGraph, edge_flow: tuple[int, ...]) -> bool:
+    return _conserves(graph.vertex_count, ((e.u, e.v, edge_flow[eid]) for eid, e in enumerate(graph.edges)))
+
+
+def is_feasible(instance: Instance, f: Circulation) -> bool:
+    """Conservation at every vertex and arc flows equal to demands."""
+    if len(f.edge_flow) != len(instance.base.edges):
+        return False
+    if len(f.arc_flow) != len(instance.requests):
+        return False
+    if any(f.arc_flow[aid] != r.demand for aid, r in enumerate(instance.requests)):
+        return False
+    edges = ((e.u, e.v, x) for e, x in zip(instance.base.edges, f.edge_flow))
+    arcs = ((r.source, r.target, x) for r, x in zip(instance.requests, f.arc_flow))
+    return _conserves(instance.base.vertex_count, itertools.chain(edges, arcs))
+
+
+def support_connected(instance: Instance, f: Circulation) -> bool:
+    """True when the nonzero edges and arcs form one connected subgraph."""
+    pairs = support_pairs(instance, f)
+    roots = component_roots(instance.base.vertex_count + 1, pairs)
+    return len({roots[u] for u, _ in pairs}) <= 1
+
+
+def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
+    """Feasible start: each demand returns along the spanning tree path."""
+    graph = instance.base
+    rooted = rooted_tree(graph, basis.tree)
+    flows = [0] * len(graph.edges)
+    for r in instance.requests:
+        # subtracting d along source->target equals routing d back through the tree
+        for x, _, eid in rooted.path(r.source, r.target):
+            if x == graph.edges[eid].u:
+                flows[eid] -= r.demand
+            else:
+                flows[eid] += r.demand
+    return Circulation(tuple(flows), tuple(r.demand for r in instance.requests))
+
+
+def tour_in_class(instance: Instance, g: Circulation) -> Tour:
+    """Cheapest tour whose traversal counts realize the class of g.
+
+    Its cost is circulation_cost(g) plus the connectivity repair weight.
+    """
+    st = connectivity_repair(instance, g)
+    tour = euler_tour(build_euler_multigraph(instance, g, st))
+    expected = circulation_cost(instance, g) + st.weight
+    if tour.total != expected:
+        raise RuntimeError("tour cost disagrees with class cost")
+    return tour
 
 
 def brute_force_tour(instance: Instance) -> OracleResult:
@@ -280,25 +429,38 @@ def make_tight_instance(r: int) -> tuple[BaseGraph, Circulation]:
 
 
 def random_instance(seed: int, n_max: int, r_max: int, p_max: int, cost_max: int) -> Instance:
-    """Seeded random instance: random tree, extra edges, merged requests."""
+    """Seeded random instance: random tree, extra edges, merged requests.
+
+    Extra edge i is the i-th non-edge (u, v), u < v, in lexicographic order,
+    found by its rank among all pairs: O(n) memory, not a list of n^2 pairs.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if r_max < 0 or p_max < 0 or cost_max < 1:
         raise ValueError("parameters out of range")
     rng = SplitMix64(seed)
     n = rng.randint(2, n_max)
-    rank = rng.randint(0, min(r_max, n * (n - 1) // 2 - (n - 1)))
+    pairs = n * (n - 1) // 2
+    rank = rng.randint(0, min(r_max, pairs - (n - 1)))
+
+    def first_rank(u: int) -> int:  # the rank of (u, u + 1)
+        return (u - 1) * n - u * (u - 1) // 2
 
     triples: list[tuple[int, int, Cost]] = []
-    present: set[tuple[int, int]] = set()
+    taken: list[int] = []
     for v in range(2, n + 1):
         u = rng.randint(1, v - 1)
         triples.append((u, v, rng.randint(1, cost_max)))
-        present.add((u, v))
-    spare = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in present]
+        taken.append(first_rank(u) + v - u - 1)
+    taken.sort()
     for _ in range(rank):
-        u, v = spare.pop(rng.randint(0, len(spare) - 1))
-        triples.append((u, v, rng.randint(1, cost_max)))
+        i = rng.randint(0, pairs - len(taken) - 1)
+        x, y = -1, i
+        while x != y:  # the least y with i untaken ranks below it and y untaken
+            x, y = y, i + bisect_right(taken, y)
+        insort(taken, y)
+        u = bisect_right(range(1, n + 1), y, key=first_rank)
+        triples.append((u, y - first_rank(u) + u + 1, rng.randint(1, cost_max)))
     graph = BaseGraph.from_edges(n, triples)
 
     demand: dict[tuple[int, int], int] = {}

@@ -13,7 +13,7 @@ from time import perf_counter
 import pytest
 
 from scpsolver.acceptance import _family_instance, decompose, is_elementary, run_acceptance
-from scpsolver.circulation import Circulation, zero_circulation
+from scpsolver.circulation import Circulation
 from scpsolver.cli import main
 from scpsolver.cli_io import emit_report, format_instance, solve
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
@@ -25,6 +25,7 @@ from scpsolver.oracle import (
     brute_force_tour,
     make_tight_instance,
     random_instance,
+    zero_circulation,
 )
 
 CORPUS_SEED = 20260814

@@ -9,13 +9,8 @@ from scpsolver.circulation import (
     Instance,
     Request,
     circulation_cost,
-    edge_flow_conserves,
-    initial_circulation,
-    is_feasible,
     min_cost_circulation,
     segment_instance,
-    support_connected,
-    zero_circulation,
 )
 from scpsolver.graph_core import BaseGraph, Edge, RootedTree, cycle_rank, fundamental_cycles, smooth_topology, spanning_tree
 from scpsolver.homology_tour import SteinerSolution
@@ -23,8 +18,13 @@ from scpsolver.oracle import (
     SplitMix64,
     brute_force_circulation,
     brute_force_tour,
+    edge_flow_conserves,
+    initial_circulation,
+    is_feasible,
     make_tight_instance,
     random_instance,
+    support_connected,
+    zero_circulation,
 )
 
 

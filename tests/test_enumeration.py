@@ -9,15 +9,12 @@ from scpsolver.circulation import (
     Instance,
     Request,
     circulation_cost,
-    initial_circulation,
-    is_feasible,
     min_cost_circulation,
     segment_instance,
-    zero_circulation,
 )
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
 from scpsolver.graph_core import BaseGraph, fundamental_cycles, segment_basis, smooth_topology, spanning_tree
-from scpsolver.oracle import SplitMix64, random_instance
+from scpsolver.oracle import SplitMix64, initial_circulation, is_feasible, random_instance, zero_circulation
 
 
 def basis_of(instance):

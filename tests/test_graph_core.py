@@ -12,11 +12,10 @@ from scpsolver.graph_core import (
     fundamental_cycles,
     rooted_tree,
     segment_basis,
-    shortest_path,
     smooth_topology,
     spanning_tree,
 )
-from scpsolver.oracle import SplitMix64, random_instance
+from scpsolver.oracle import SplitMix64, random_instance, shortest_path
 
 
 def path_graph(n, cost=1):

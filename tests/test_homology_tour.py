@@ -7,10 +7,10 @@ from scpsolver.circulation import (
     Instance,
     Request,
     circulation_cost,
-    initial_circulation,
     min_cost_circulation,
-    support_connected,
+    support_pairs,
 )
+from scpsolver import homology_tour
 from scpsolver.cli_io import solve
 from scpsolver.enumeration import enumerate_candidates
 from scpsolver.graph_core import BaseGraph, component_roots, cycle_rank, fundamental_cycles, spanning_tree
@@ -29,13 +29,26 @@ from scpsolver.homology_tour import (
     euler_tour,
     min_steiner_tree,
     steiner_preprocess,
-    tour_in_class,
 )
-from scpsolver.oracle import SplitMix64, brute_force_steiner, random_instance, verify_tour
+from scpsolver.oracle import (
+    SplitMix64,
+    brute_force_steiner,
+    initial_circulation,
+    random_instance,
+    support_connected,
+    tour_in_class,
+    verify_tour,
+)
 
 
 def basis_of(instance):
     return fundamental_cycles(instance.base, spanning_tree(instance.base))
+
+
+def contract(instance, g):
+    """contract_support given the support pass connectivity_repair makes."""
+    pairs = support_pairs(instance, g)
+    return contract_support(instance, g, pairs, component_roots(instance.base.vertex_count + 1, pairs))
 
 
 def split_path_instance():
@@ -51,7 +64,7 @@ def split_path_instance():
 def test_contract_connected_support_gives_one_terminal():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(1, 3, 1)))
-    cg = contract_support(inst, Circulation((-1, -1, 0), (1, 1)))
+    cg = contract(inst, Circulation((-1, -1, 0), (1, 1)))
     assert cg.vertices == (0,)
     assert cg.terminals == frozenset({0})
     assert cg.edges == ()
@@ -59,7 +72,7 @@ def test_contract_connected_support_gives_one_terminal():
 
 def test_contract_split_support():
     inst, g = split_path_instance()
-    cg = contract_support(inst, g)
+    cg = contract(inst, g)
     assert cg.vertices == (0, 1)
     assert cg.terminals == frozenset({0, 1})
     assert cg.vertex_map == {1: 0, 2: 0, 3: 1, 4: 1}
@@ -70,7 +83,7 @@ def test_contract_split_support():
 def test_contract_keeps_parallel_reconnection_edges():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (3, 4, 1), (1, 4, 4)])
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
-    cg = contract_support(inst, Circulation((-1, 0, -1, 0), (1, 1)))
+    cg = contract(inst, Circulation((-1, 0, -1, 0), (1, 1)))
     assert cg.terminals == frozenset({0, 1})
     assert cg.edges == ((0, 1, 4, 1), (0, 1, 8, 3))
 
@@ -78,7 +91,7 @@ def test_contract_keeps_parallel_reconnection_edges():
 def test_contract_untouched_vertices_stay_isolated():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1),))
-    cg = contract_support(inst, Circulation((-1, 0, 0), (1,)))
+    cg = contract(inst, Circulation((-1, 0, 0), (1,)))
     # components: {1,2} then singletons 3 and 4
     assert cg.vertices == (0, 1, 2)
     assert cg.terminals == frozenset({0})
@@ -161,7 +174,7 @@ def test_contraction_matches_dict_union_find_reference():
         basis = basis_of(inst)
         f = min_cost_circulation(inst)
         for g in enumerate_candidates(f, basis, cycle_rank(inst.base)):
-            mine, want = contract_support(inst, g), reference_contract_support(inst, g)
+            mine, want = contract(inst, g), reference_contract_support(inst, g)
             assert mine.vertices == want.vertices
             assert mine.edges == want.edges
             assert mine.terminals == want.terminals
@@ -459,6 +472,34 @@ def test_repair_buys_the_bridge():
     st = connectivity_repair(inst, g)
     assert st.edge_ids == frozenset({1})
     assert st.weight == 10
+
+
+def test_repair_makes_one_support_pass_split_or_connected(monkeypatch):
+    passes = []
+    real_pairs, real_roots = homology_tour.support_pairs, homology_tour.component_roots
+
+    def pairs(instance, g):
+        passes.append("pairs")
+        return real_pairs(instance, g)
+
+    def roots(size, support):
+        passes.append("roots")
+        return real_roots(size, support)
+
+    monkeypatch.setattr(homology_tour, "support_pairs", pairs)
+    monkeypatch.setattr(homology_tour, "component_roots", roots)
+    split = connected = 0
+    for seed in range(1, 61):
+        inst = random_instance(seed, 16, 3, 6, 5)
+        if not inst.requests:
+            continue
+        for g in enumerate_candidates(min_cost_circulation(inst), basis_of(inst), 1):
+            passes.clear()
+            st = connectivity_repair(inst, g)
+            assert passes == ["pairs", "roots"]
+            split += st.weight > 0  # costs are at least 1, so only a split support pays
+            connected += st.weight == 0
+    assert split > 10 and connected > 10, (split, connected)
 
 
 def test_euler_multigraph_counts_copies():

@@ -1,23 +1,21 @@
+import time
+
 import pytest
 
 from scpsolver.acceptance import decompose, is_elementary
-from scpsolver.circulation import (
-    Circulation,
-    Instance,
-    Request,
-    circulation_cost,
-    edge_flow_conserves,
-    is_feasible,
-)
-from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, shortest_path, spanning_tree
+from scpsolver.circulation import Circulation, Instance, Request, circulation_cost
+from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import KIND_EDGE, KIND_REQUEST, Step, Tour
 from scpsolver.oracle import (
     SplitMix64,
     brute_force_circulation,
     brute_force_steiner,
     brute_force_tour,
+    edge_flow_conserves,
+    is_feasible,
     make_tight_instance,
     random_instance,
+    shortest_path,
     verify_tour,
 )
 
@@ -295,6 +293,39 @@ def test_random_instance_zero_rank_budget_yields_trees():
     for _ in range(20):
         inst = random_instance(rng.next64(), 8, 0, 3, 9)
         assert cycle_rank(inst.base) == 0
+
+
+def list_based_graph(seed, n_max, r_max, cost_max):
+    """random_instance's earlier graph draw: every non-edge listed, one popped per extra edge."""
+    rng = SplitMix64(seed)
+    n = rng.randint(2, n_max)
+    rank = rng.randint(0, min(r_max, n * (n - 1) // 2 - (n - 1)))
+    triples, present = [], set()
+    for v in range(2, n + 1):
+        u = rng.randint(1, v - 1)
+        triples.append((u, v, rng.randint(1, cost_max)))
+        present.add((u, v))
+    spare = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in present]
+    for _ in range(rank):
+        u, v = spare.pop(rng.randint(0, len(spare) - 1))
+        triples.append((u, v, rng.randint(1, cost_max)))
+    return BaseGraph.from_edges(n, triples)
+
+
+def test_random_instance_draws_the_graph_the_list_based_draw_did():
+    # rank budgets up to 39 fill the small graphs completely, so later draws
+    # skip many taken ranks
+    for seed in range(6000):
+        n_max, r_max = 2 + seed % 24, seed % 40
+        assert random_instance(seed, n_max, r_max, 0, 9).base == list_based_graph(seed, n_max, r_max, 9)
+
+
+def test_random_instance_draws_a_large_graph_without_listing_its_pairs():
+    start = time.perf_counter()
+    inst = random_instance(3, 100_000, 30, 3, 10)
+    assert time.perf_counter() - start < 10.0  # listing its 2.4e9 pairs ran out of memory
+    assert inst.base.vertex_count == 70_121
+    assert cycle_rank(inst.base) == 26
 
 
 def test_random_instance_rejects_bad_parameters():

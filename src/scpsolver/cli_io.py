@@ -309,9 +309,10 @@ def solve(instance: Instance) -> SolveReport:
     request endpoints kept), O(r + k + p + leaves) segments on which every
     circulation is constant: f and the fundamental cycles project onto it
     exactly, and so do candidate costs and repair weights, integer sums
-    being exact.  Only the winner is expanded to base edge flows; its
-    repair (when its support is split), its Euler multigraph and its tour
-    are built on the base graph, so reports do not depend on the
+    being exact.  Only the winner is expanded: its flows to base edge
+    flows and its repair's Steiner edges to their segments' base edges (the
+    base repair's own, by ``contract_support``), and its Euler multigraph
+    and tour are built on the base graph, so reports do not depend on the
     compression.
 
     Every box point is priced once, in Gray order, by one
@@ -395,8 +396,7 @@ def solve(instance: Instance) -> SolveReport:
 
     total, lam, g, st = best
     g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
-    if st.edge_ids:  # split support: repair again on the base graph, for base edge ids
-        st = connectivity_repair(instance, g)
+    st = st._replace(edge_ids=frozenset(chain.from_iterable([seg.edges[s].edge_ids for s in st.edge_ids])))
     tour = euler_tour(build_euler_multigraph(instance, g, st))
     if tour.total != total:
         raise RuntimeError("winning tour cost disagrees with candidate cost")

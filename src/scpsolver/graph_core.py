@@ -83,6 +83,7 @@ class Edge(NamedTuple):
     u: int
     v: int
     cost: Cost
+    low = property(itemgetter(0))  # u, its least vertex, as Segment.low is a chain's
 
 
 class FrozenRecord:
@@ -176,6 +177,10 @@ class BaseGraph(FrozenRecord):
         edges = tuple([new(Edge, (u, v, cost) if u < v else (v, u, cost)) for u, v, cost in triples])
         return cls(vertex_count, edges)
 
+    @property
+    def vertices(self) -> range:  # 1..n, the ids SegmentGraph.vertices maps to
+        return range(1, self.vertex_count + 1)
+
     @cached_property
     def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Vertex -> (neighbor, edge_id) pairs, ascending by neighbor id.
@@ -231,7 +236,7 @@ class Segment(NamedTuple):
     the walk crosses ``edge_ids[j]`` in its forward orientation and -1 when
     against it, so a flow x along the segment is the base flow
     ``signs[j] * x`` on ``edge_ids[j]``.  ``cost`` is the chain's summed base
-    cost.
+    cost and ``low`` the least base vertex on it, ends included.
     """
 
     u: int
@@ -239,6 +244,7 @@ class Segment(NamedTuple):
     cost: Cost
     edge_ids: tuple[int, ...]
     signs: tuple[int, ...]
+    low: int
 
 
 class SegmentGraph(NamedTuple):
@@ -252,8 +258,8 @@ class SegmentGraph(NamedTuple):
     the ``vertex_count``, ``edges`` and ``edge_costs`` the sweep and the
     repair read.  ``edge_costs`` is a field, filled by ``smooth_topology``,
     because the sweep reads it once per box point.  Segments are listed by
-    their first base edge id, so with every vertex kept, segment i is base
-    edge i in its forward orientation.
+    least base edge id, for ``contract_support``'s ties; with every vertex
+    kept, segment i is base edge i in its forward orientation.
 
     Every circulation is constant along a segment (its inner vertices have
     degree 2 and no request), which ``project`` and ``expand`` rely on.
@@ -421,20 +427,23 @@ def smooth_topology(graph: BaseGraph, keep: Iterable[int] = ()) -> SegmentGraph:
                 continue
             used[eid] = True
             if v in index:  # one edge, crossed forward from its lower end
-                segments.append(new(Segment, (index[start], index[v], costs[eid], (eid,), (1,))))
+                segments.append(new(Segment, (index[start], index[v], costs[eid], (eid,), (1,), start)))
                 continue
             # an edge is crossed forward when the walk goes up in vertex id
             ids = [eid]
             signs = [1 if start < v else -1]
+            low = start  # least vertex on the chain; its far end is not below start
             while v not in index:
+                if v < low:
+                    low = v
                 (a, ea), (b, eb) = adjacency[v]
                 x, (v, eid) = v, ((b, eb) if ea == eid else (a, ea))
                 ids.append(eid)
                 signs.append(1 if x < v else -1)
             used[eid] = True
             cost = sum(map(costs.__getitem__, ids))
-            segments.append(new(Segment, (index[start], index[v], cost, tuple(ids), tuple(signs))))
-    segments.sort(key=itemgetter(3))
+            segments.append(new(Segment, (index[start], index[v], cost, tuple(ids), tuple(signs), low)))
+    segments.sort(key=lambda s: min(s.edge_ids))
     return SegmentGraph(ends, tuple(segments), rank, branch, tuple(map(itemgetter(2), segments)))
 
 

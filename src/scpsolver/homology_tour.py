@@ -9,7 +9,6 @@ subsets of the few branch vertices that survive preprocessing.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, repeat, starmap
@@ -118,20 +117,12 @@ class Tour:
 class EulerMultigraph:
     """Directed multigraph as a number of copies per distinct arc.
 
-    ``EulerMultigraph(arcs)`` counts arcs given one per traversal, in any
-    order; build_euler_multigraph hands over its counts through
-    ``from_counts``.  ``arcs`` spells them out again, one per traversal,
-    derived on first read.
+    ``EulerMultigraph(counts)`` takes the copies of each distinct arc.
+    ``arcs`` spells them out again, one per traversal, derived on first read.
     """
 
-    def __init__(self, arcs: Iterable[Arc] = ()):
-        self.counts: dict[Arc, int] = Counter(arcs)
-
-    @classmethod
-    def from_counts(cls, counts: dict[Arc, int]) -> EulerMultigraph:
-        mg = cls.__new__(cls)
-        mg.counts = counts
-        return mg
+    def __init__(self, counts: dict[Arc, int]):
+        self.counts = counts
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -143,19 +134,24 @@ def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, 
 
     ``pairs`` is ``support_pairs(instance, g)`` and ``roots`` their
     ``component_roots``, as ``connectivity_repair`` computed them.  Quotient
-    ids follow least vertices: component roots are least members, so one
-    ascending pass numbers each component when it reaches its least vertex,
-    and a later member takes its root's id.
+    ids follow each class's least base vertex, a supported edge's ``low``
+    included; on a base graph that is the class's root.  So on a segment
+    graph the witness, expanded, is the base repair's of the expanded g:
+    1. The reduced graphs are isomorphic: the base classes are the segment
+       ones grown by their supported segments' inner vertices, and the
+       other inner vertices (degree 2, no terminal) splice into segments.
+    2. The isomorphism keeps the quotient ids' order, so the order of the
+       Steiner masks and Kruskal's (weight, (u, v)) order.
+    3. Parallel edges tie on their sorted, disjoint origins, so the least
+       decides, as on the base graph: segments go by least base edge id.
     """
     graph = instance.base
-    vertex_map: dict[int, int] = {}
-    count = 0
-    for v in range(1, graph.vertex_count + 1):
-        if roots[v] == v:
-            vertex_map[v] = count
-            count += 1
-        else:
-            vertex_map[v] = vertex_map[roots[v]]
+    low = [0, *graph.vertices]  # base vertex per vertex, least per class at roots
+    for e in compress(graph.edges, g.edge_flow):  # the supported edges
+        low[roots[e.u]] = min(low[roots[e.u]], e.low)
+    classes = sorted([v for v in range(1, len(low)) if roots[v] == v], key=low.__getitem__)
+    qid = dict(zip(classes, range(len(classes))))
+    vertex_map = {v: qid[roots[v]] for v in range(1, len(low))}
 
     quotient_edges: list[tuple[int, int, Cost, int]] = []
     for eid, e in enumerate(graph.edges):
@@ -167,7 +163,7 @@ def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, 
         quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, eid))
 
     terminals = frozenset(vertex_map[u] for u, _ in pairs)
-    return ContractedGraph(tuple(range(count)), tuple(quotient_edges), terminals, vertex_map)
+    return ContractedGraph(tuple(range(len(classes))), tuple(quotient_edges), terminals, vertex_map)
 
 
 def _origin_ids(origin) -> tuple[int, ...]:
@@ -341,7 +337,7 @@ def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSoluti
     roots = component_roots(graph.vertex_count + 1, pairs)
     if len({roots[u] for u, _ in pairs}) > 1:  # balanced: every head is a tail too
         raise RuntimeError("euler multigraph is disconnected")
-    return EulerMultigraph.from_counts(counts)
+    return EulerMultigraph(counts)
 
 
 def euler_tour(mg: EulerMultigraph) -> Tour:

@@ -395,8 +395,7 @@ def repaired_costs(monkeypatch, instance, batch):
     costs = []
 
     def recorded(inner, g):
-        if inner is not instance:  # not the winner's repair on the base graph
-            costs.append(circulation_cost(inner, g))
+        costs.append(circulation_cost(inner, g))
         return connectivity_repair(inner, g)
 
     monkeypatch.setattr(cli_io, "connectivity_repair", recorded)
@@ -419,6 +418,70 @@ def test_sweep_repairs_the_cheapest_points_first(monkeypatch):
             assert in_gray_order == report
             fewer += len(costs) < len(gray_costs)
     assert fewer >= 10
+
+
+# tie_instance draws on which a segment repair keeping only one of the two
+# base orders picks another Steiner tree than the base repair does
+ONE_ORDER_DRAWS = {
+    "quotient ids by root, not by least base vertex": (425, 2525, 4593, 5357, 5400, 7362, 8319, 8534),
+    "segments by first walked edge, not by least edge id": (225, 980, 1040, 1422, 3760, 5448),
+}
+
+
+def test_segment_repair_witness_is_the_base_repair_witness(monkeypatch):
+    # every split candidate solve repairs: its segment Steiner tree, segment
+    # ids expanded to base edge ids, is the base repair's of the expanded
+    # circulation, tie-breaks included
+    from test_golden import tie_instance
+
+    checked = set()
+
+    def checking(inner, g):
+        st = connectivity_repair(inner, g)
+        if st.edge_ids:
+            seg = inner.base
+            base_g = Circulation(seg.expand(g.edge_flow, len(instance.base.edges)), g.arc_flow)
+            expanded = frozenset(eid for sid in st.edge_ids for eid in seg.edges[sid].edge_ids)
+            assert (expanded, st.weight) == connectivity_repair(instance, base_g), seed
+            checked.add((seed, g))
+        return st
+
+    monkeypatch.setattr(cli_io, "connectivity_repair", checking)
+    pinned = [seed for draws in ONE_ORDER_DRAWS.values() for seed in draws]
+    for seed in (*range(100), *pinned):
+        instance = tie_instance(seed)
+        solve(instance)
+    assert {seed for seed, _ in checked} >= set(pinned)
+    assert len(checked) > 200, len(checked)
+
+
+def test_solve_repairs_on_the_segment_graph_only(monkeypatch):
+    # a split winner's tour takes the Steiner edges of the repair that priced
+    # it, so no connectivity_repair call sees the base instance
+    from test_golden import TIE_SEEDS, tie_instance
+
+    repair, build = cli_io.connectivity_repair, cli_io.build_euler_multigraph
+    graphs = set()
+    split_winners = 0
+
+    def recorded(inner, g):
+        graphs.add(type(inner.base))
+        return repair(inner, g)
+
+    def counted(instance, g, st):
+        nonlocal split_winners
+        split_winners += bool(st.edge_ids)
+        return build(instance, g, st)
+
+    monkeypatch.setattr(cli_io, "connectivity_repair", recorded)
+    monkeypatch.setattr(cli_io, "build_euler_multigraph", counted)
+    for seed in TIE_SEEDS:
+        instance = tie_instance(seed)
+        report = solve(instance)
+        check = verify_tour(instance, report.tour)
+        assert check.valid and check.cost == report.cost, seed
+    assert graphs == {graph_core.SegmentGraph}
+    assert split_winners >= 15, split_winners
 
 
 def test_solve_breaks_total_cost_ties_on_the_smallest_lambda():

@@ -36,6 +36,11 @@ FAMILY_SIZES = {
 CHAIN_SIZES = (16, 20, 24, 28, 32, 36)
 CHAINS_PER_SIZE = 10  # split over path, cycle and theta
 TENTHS_DRAWS = 12
+# tie_instance draws: six split winners; two on which a segment repair that
+# numbers quotient ids by root picks another Steiner tree (425, 2525); and
+# each of the first 40,000 draws whose report changes when the segment
+# repair keeps neither base tie-break (3760 on)
+TIE_SEEDS = (17, 27, 28, 35, 44, 50, 425, 2525, 3760, 5448, 10757, 11979, 14521, 16187, 24409, 25898, 26806, 27030, 38937, 39938)
 
 
 def chain_instance(family: str, n: int, rng: SplitMix64) -> Instance:
@@ -74,6 +79,52 @@ def tenths_instance(seed: int) -> Instance:
     return Instance(graph, requests)
 
 
+def shuffled(items: list, rng: SplitMix64) -> list:
+    """items shuffled in place by Fisher-Yates, drawing from rng."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(0, i)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def tie_instance(seed: int) -> Instance:
+    """A subdivided multigraph, dense in tied repairs.
+
+    k = 2-5 hub vertices joined by k to k + 3 chains, a spanning tree first,
+    each of 1-4 edges (a loop of at least 3, and no two one-edge chains
+    joining the same pair), with vertex ids and edge order shuffled and edge
+    costs 1-2; then 2-6 requests, each priced at its shortest path plus 0
+    or 1.  Split supports and equal Steiner trees are common, so a segment
+    repair that breaks a tie other than the base repair's shows in the
+    witness.
+    """
+    rng = SplitMix64(seed)
+    k = rng.randint(2, 5)
+    hubs = [(rng.randint(1, v - 1), v) for v in range(2, k + 1)]
+    hubs += [(rng.randint(1, k), rng.randint(1, k)) for _ in range(rng.randint(k, k + 3) - len(hubs))]
+    chains, direct, n = [], set(), k
+    for a, b in hubs:
+        pieces = rng.randint(1, 4)
+        if a == b:
+            pieces = max(pieces, 3)
+        elif pieces == 1 and (min(a, b), max(a, b)) in direct:
+            pieces = 2
+        if pieces == 1:
+            direct.add((min(a, b), max(a, b)))
+        chains.append([a, *range(n + 1, n + pieces), b])
+        n += pieces - 1
+    ids = shuffled(list(range(1, n + 1)), rng)
+    triples = [(ids[x - 1], ids[y - 1], rng.randint(1, 2)) for chain in chains for x, y in zip(chain, chain[1:])]
+    graph = BaseGraph.from_edges(n, shuffled(triples, rng))
+    requests: dict[tuple[int, int], Request] = {}
+    for _ in range(rng.randint(2, 6)):
+        s = rng.randint(1, n)
+        t = rng.randint(1, n - 1)
+        t += t >= s
+        requests.setdefault((s, t), Request(s, t, shortest_path(graph, s, t)[0] + rng.randint(0, 1)))
+    return Instance(graph, tuple(requests.values()))
+
+
 def cases() -> dict[str, Instance]:
     out: dict[str, Instance] = {}
     for seed in range(RANDOM_DRAWS):
@@ -88,6 +139,8 @@ def cases() -> dict[str, Instance]:
             out[f"chain/{family}/{n}/{i}"] = chain_instance(family, n, SplitMix64(rng.next64()))
     for seed in range(TENTHS_DRAWS):
         out[f"tenths/{seed}"] = tenths_instance(seed)
+    for seed in TIE_SEEDS:
+        out[f"ties/{seed}"] = tie_instance(seed)
     out["tenths/triangle"] = Instance(
         BaseGraph.from_edges(3, [(1, 2, Fraction(1, 10)), (2, 3, Fraction(2, 10)), (1, 3, Fraction(7, 10))]),
         (Request(1, 3, Fraction(3, 10)),),
@@ -159,6 +212,7 @@ def test_golden_corpus_solves_every_case_and_covers_long_tours():
     assert not refused
     assert sum(name.startswith("chain/") for name in golden) == len(CHAIN_SIZES) * CHAINS_PER_SIZE
     assert sum(name.startswith("tenths/") for name in golden) == TENTHS_DRAWS + 1
+    assert sum(name.startswith("ties/") for name in golden) == len(TIE_SEEDS)
     assert len(golden) > 350
 
 

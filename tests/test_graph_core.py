@@ -322,15 +322,19 @@ def test_segments_cover_every_edge_once_with_signed_chains():
         seg = smooth_topology(g, keep)
         assert keep <= set(seg.vertices)
         assert sorted(eid for s in seg.edges for eid in s.edge_ids) == list(range(len(g.edges)))
-        assert [s.edge_ids[0] for s in seg.edges] == sorted(s.edge_ids[0] for s in seg.edges)
+        # listed by least base edge id, which the segment repair's ties need
+        assert [min(s.edge_ids) for s in seg.edges] == sorted(min(s.edge_ids) for s in seg.edges)
         for s in seg.edges:
             assert s.u <= s.v and s.cost == sum(g.edges[eid].cost for eid in s.edge_ids)
             x = seg.vertices[s.u - 1]  # walk the chain by its signs
+            walked = [x]
             for eid, sign in zip(s.edge_ids, s.signs):
                 e = g.edges[eid]
                 assert x == (e.u if sign == 1 else e.v)
                 x = e.v if sign == 1 else e.u
+                walked.append(x)
             assert x == seg.vertices[s.v - 1]
+            assert s.low == min(walked)
 
 
 def test_segment_graph_of_a_cycle_with_two_endpoints_has_two_parallels():
@@ -374,7 +378,7 @@ def test_segment_basis_is_the_projected_base_basis():
                 # keeping every vertex compresses nothing: each segment is its
                 # base edge, and the basis is the base one, each cycle in the
                 # same order
-                assert seg.edges == tuple(Segment(e.u, e.v, e.cost, (i,), (1,)) for i, e in enumerate(g.edges))
+                assert seg.edges == tuple(Segment(e.u, e.v, e.cost, (i,), (1,), e.u) for i, e in enumerate(g.edges))
                 assert basis == base
                 assert [list(c.items()) for c in basis.cycles] == [list(c.items()) for c in base.cycles]
 

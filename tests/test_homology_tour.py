@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -166,9 +167,11 @@ def reference_support_connected(instance, f):
 
 
 def test_contraction_matches_dict_union_find_reference():
+    # sparse draws with few requests: about one candidate in four has a
+    # split support, the case the quotient is built for
     checked = split = 0
     for seed in range(1, 41):
-        inst = random_instance(seed, 10, 4, 6, 20)
+        inst = random_instance(seed, 16, 3, 6, 5)
         if not inst.requests:
             continue
         basis = basis_of(inst)
@@ -183,7 +186,7 @@ def test_contraction_matches_dict_union_find_reference():
             assert connected == reference_support_connected(inst, g)
             checked += 1
             split += not connected
-    assert checked > 1000 and split > 0, (checked, split)
+    assert checked > 1000 and split >= 300, (checked, split)
 
 
 # --- steiner preprocessing ---
@@ -541,7 +544,7 @@ def test_euler_multigraph_rejects_disconnected_flow():
 def test_euler_tour_of_nothing_is_empty():
     from scpsolver.homology_tour import EulerMultigraph, Tour
 
-    assert euler_tour(EulerMultigraph(())) == Tour((), 0)
+    assert euler_tour(EulerMultigraph(Counter())) == Tour((), 0)
 
 
 def test_euler_tour_starts_low_and_is_deterministic():
@@ -670,7 +673,7 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
     disconnected = 0
     for trial in range(2000):
         arcs = random_eulerian_arcs(rng, tenths=trial % 4 == 0)
-        mg = EulerMultigraph(arcs)
+        mg = EulerMultigraph(Counter(arcs))
         assert len(mg.arcs) == sum(mg.counts.values()) == len(arcs)
         assert sorted(mg.arcs) == sorted(arcs)
         try:
@@ -690,7 +693,7 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
 
 def test_run_length_tour_refuses_disconnected_multigraph():
     two_loops = (1, 2, KIND_EDGE, 0, 1), (2, 1, KIND_EDGE, 0, 1), (3, 4, KIND_REQUEST, 0, 2), (4, 3, KIND_EDGE, 1, 1)
-    mg = EulerMultigraph(tuple(arc for arc in two_loops for _ in range(50)))
+    mg = EulerMultigraph(Counter(arc for arc in two_loops for _ in range(50)))
     for walk in (unit_euler_tour, euler_tour):
         with pytest.raises(RuntimeError, match="disconnected"):
             walk(mg)
@@ -698,7 +701,7 @@ def test_run_length_tour_refuses_disconnected_multigraph():
 
 def test_run_length_tour_of_repeated_triangle_repeats_one_cycle():
     cycle = [(1, 2, KIND_REQUEST, 0, 3), (2, 3, KIND_EDGE, 1, 1), (3, 1, KIND_EDGE, 2, 1)]
-    mg = EulerMultigraph(tuple(arc for arc in cycle for _ in range(1000)))
+    mg = EulerMultigraph(Counter(arc for arc in cycle for _ in range(1000)))
     tour = euler_tour(mg)
     assert step_fields(tour) == step_fields(unit_euler_tour(mg))
     assert len(tour.steps) == 3000 and tour.total == 5000
@@ -752,7 +755,7 @@ def test_euler_multigraph_counts_match_per_copy_arcs():
             want = reference_euler_arcs(inst, g, st)
             assert len(mg.arcs) == sum(mg.counts.values()) == len(want)
             assert sorted(mg.arcs) == sorted(want)
-            assert step_fields(euler_tour(mg)) == step_fields(unit_euler_tour(EulerMultigraph(want)))
+            assert step_fields(euler_tour(mg)) == step_fields(unit_euler_tour(EulerMultigraph(Counter(want))))
             checked += 1
     assert checked > 100, checked
 

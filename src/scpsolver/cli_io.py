@@ -161,12 +161,14 @@ def parse_instance(text: str) -> Instance:
     [demand]`` line.  Duplicate request pairs merge into one request with
     summed demand.
 
-    Each line is split once.  An ``edge`` or ``request`` line converts its
-    three numbers with ``int`` and range-checks its two vertices inline; only
-    a line that fails there (a decimal cost, a bad token, a vertex out of
-    range) goes through ``_vertex`` and ``_number``, which raise the line's
-    error or read its cost exactly: a non-integer cost is a Fraction, an
-    integral one (``2.0``, ``1e3``) an int.
+    Each line is split once.  ``edge`` and ``request`` lines share one
+    branch, which converts the three numbers with ``int`` and range-checks
+    the two vertices inline; only a line that fails there (a decimal cost,
+    a bad token, a vertex out of range) goes through ``_vertex`` and
+    ``_number``, which raise the line's error or read its cost exactly: a
+    non-integer cost is a Fraction, an integral one (``2.0``, ``1e3``) an
+    int.  Only the last step differs by kind: the duplicate check of an
+    edge, the demand and merge of a request.
     """
     have_header = False
     n: int | None = None
@@ -198,11 +200,13 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(line_no, "bad-size", f"bad vertex count {tokens[1]!r}") from None
             if n < 1:
                 raise InstanceFormatError(line_no, "bad-size", "vertex count must be positive")
-        elif directive == "edge":
+        elif directive == "edge" or directive == "request":
+            edge = directive == "edge"
             if n is None:
-                raise InstanceFormatError(line_no, "missing-size", "edge before 'n' line")
-            if len(tokens) != 4:
-                raise InstanceFormatError(line_no, "bad-token", "expected 'edge u v cost'")
+                raise InstanceFormatError(line_no, "missing-size", f"{directive} before 'n' line")
+            if len(tokens) != 4 and (edge or len(tokens) != 5):
+                usage = "'edge u v cost'" if edge else "'request s t cost [demand]'"
+                raise InstanceFormatError(line_no, "bad-token", f"expected {usage}")
             try:
                 u, v, cost = int(tokens[1]), int(tokens[2]), int(tokens[3])
                 fast = 0 < u <= n and 0 < v <= n
@@ -211,34 +215,19 @@ def parse_instance(text: str) -> Instance:
             if not fast:
                 u = _vertex(tokens[1], n, line_no)
                 v = _vertex(tokens[2], n, line_no)
-                cost = _number(tokens[3], line_no, "edge cost")
+                cost = _number(tokens[3], line_no, f"{directive} cost")
             if u == v:
-                raise InstanceFormatError(line_no, "self-loop", f"self-loop at vertex {u}")
+                loop = "self-loop at vertex" if edge else "request with equal endpoints"
+                raise InstanceFormatError(line_no, "self-loop", f"{loop} {u}")
             if cost < 0:
-                raise InstanceFormatError(line_no, "negative-cost", f"negative edge cost {_cost_text(cost)}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in edge_pairs:
-                raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
-            edge_pairs.add(pair)
-            edges.append(new(Edge, (*pair, cost)))
-        elif directive == "request":
-            if n is None:
-                raise InstanceFormatError(line_no, "missing-size", "request before 'n' line")
-            if len(tokens) not in (4, 5):
-                raise InstanceFormatError(line_no, "bad-token", "expected 'request s t cost [demand]'")
-            try:
-                s, t, cost = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                fast = 0 < s <= n and 0 < t <= n
-            except ValueError:
-                fast = False
-            if not fast:
-                s = _vertex(tokens[1], n, line_no)
-                t = _vertex(tokens[2], n, line_no)
-                cost = _number(tokens[3], line_no, "request cost")
-            if s == t:
-                raise InstanceFormatError(line_no, "self-loop", f"request with equal endpoints {s}")
-            if cost < 0:
-                raise InstanceFormatError(line_no, "negative-cost", f"negative request cost {_cost_text(cost)}")
+                raise InstanceFormatError(line_no, "negative-cost", f"negative {directive} cost {_cost_text(cost)}")
+            if edge:
+                pair = (u, v) if u < v else (v, u)
+                if pair in edge_pairs:
+                    raise InstanceFormatError(line_no, "duplicate-edge", f"edge {pair} given twice")
+                edge_pairs.add(pair)
+                edges.append(new(Edge, (*pair, cost)))
+                continue
             demand = 1
             if len(tokens) == 5:
                 try:
@@ -247,11 +236,11 @@ def parse_instance(text: str) -> Instance:
                     raise InstanceFormatError(line_no, "bad-demand", f"bad demand {tokens[4]!r}") from None
                 if demand < 1:
                     raise InstanceFormatError(line_no, "bad-demand", "demand must be positive")
-            slot = merged.get((s, t))
+            slot = merged.get((u, v))
             if slot is None:
-                merged[(s, t)] = [cost, demand]
+                merged[(u, v)] = [cost, demand]
             elif slot[0] != cost:
-                raise InstanceFormatError(line_no, "conflicting-request-cost", f"request ({s}, {t}) repeated with a different cost")
+                raise InstanceFormatError(line_no, "conflicting-request-cost", f"request ({u}, {v}) repeated with a different cost")
             else:
                 slot[1] += demand
         else:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import chain, compress, repeat, starmap
-from operator import attrgetter, itemgetter
+from itertools import chain, combinations, compress, repeat, starmap
+from operator import attrgetter
 from typing import NamedTuple
 
 from .circulation import Circulation, Instance, support_pairs
@@ -234,17 +234,23 @@ def steiner_preprocess(cg: ContractedGraph) -> ReducedGraph:
 def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerSolution:
     """Exact Steiner tree by sweeping subsets of the non-terminal vertices.
 
-    Every subset induces a subgraph whose spanning tree (when one exists) is
-    a Steiner tree candidate; the optimum uses some subset, so the sweep is
-    exhaustive.  Kruskal with a fixed edge order keeps the witness stable.
+    Every subset that induces a connected subgraph gives a candidate, its
+    Kruskal tree in a fixed edge order; the optimum spans some subset.
+    Only Steiner vertices of the terminals' component C can be in one
+    (terminals in several components: none connects, ValueError).  The
+    sweep leaves out j = 0, 1, 2, ... of them and stops at the first j for
+    which no left-out set X keeps C - X connected.  That is exact: for a
+    nonempty X that does, some x in X has a neighbour in C - X, as C is
+    connected, so X - x does too; the counts that connect form a prefix.
+    One Kruskal pass over the whole graph finds C, and its forest within C
+    is the tree for j = 0.  No subset is visited twice, so at most 2^s for
+    s Steiner vertices, and a tree-like C, where leaving out any one
+    disconnects, costs s + 1 passes.
 
-    The witness has no Steiner leaf, so it needs no pruning.  Masks run in
-    ascending order and ``best`` moves only on a strictly smaller weight, so
-    the witness is the Kruskal tree of the first mask M that reaches the
-    optimum W.  Were a Steiner vertex v a leaf of that tree, dropping v and
-    its edge would leave a tree of weight at most W (weights are never
-    negative) on the vertices of M without v, so that smaller mask's Kruskal
-    tree would weigh W too and M would not be first.
+    Bit i of a subset's mask stands for the i-th Steiner vertex ascending.
+    The witness is the tree of the least (weight, mask), so it has no
+    Steiner leaf: dropping a leaf v and its edge would leave a tree of no
+    more weight (weights are never negative) on the lesser mask without v.
     """
     if not terminals:
         raise ValueError("terminal set is empty")
@@ -253,33 +259,43 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
     if len(terminals) == 1:
         return SteinerSolution(frozenset(), 0)
 
-    steiner = sorted(set(graph.vertices) - terminals)
     index = {v: i for i, v in enumerate(graph.vertices)}  # union-find slots
-    order = sorted(range(len(graph.edges)), key=lambda i: (graph.edges[i][2], i))
-    best: tuple[Cost, frozenset[int]] | None = None
-    for mask in range(1 << len(steiner)):
-        nodes = set(terminals)
-        for i, v in enumerate(steiner):
-            if mask >> i & 1:
-                nodes.add(v)
-        uf = UnionFind(len(graph.vertices))
-        chosen: list[int] = []
-        weight: Cost = 0
-        for i in order:
-            u, v, w, _ = graph.edges[i]
-            if u in nodes and v in nodes and uf.union(index[u], index[v]):
-                chosen.append(i)
-                weight += w
-        if len(chosen) != len(nodes) - 1:
-            continue  # subset does not induce a connected subgraph
-        if best is None or weight < best[0]:
-            origins: set[int] = set()
-            for i in chosen:
-                origins.update(graph.edges[i][3])
-            best = (weight, frozenset(origins))
-    if best is None:
+    # (slot, slot, weight, edge index) ascending by weight, then by index
+    edges = sorted([(index[u], index[v], w, i) for i, (u, v, w, _) in enumerate(graph.edges)], key=lambda e: e[2])
+    whole = UnionFind(len(index))
+    forest = [e for e in edges if whole.union(e[0], e[1])]  # Kruskal's, per component
+    root = whole.find(index[min(terminals)])
+    if any(whole.find(index[t]) != root for t in terminals):
         raise ValueError("homology class disconnected")
-    return SteinerSolution(best[1], best[0])
+    steiner = sorted(set(graph.vertices) - terminals)
+    inside = [(index[v], 1 << i) for i, v in enumerate(steiner) if whole.find(index[v]) == root]  # C's, with mask bits
+    edges = [e for e in edges if whole.find(e[0]) == root]  # C's
+    tree = [e for e in forest if whole.find(e[0]) == root]  # C's Kruskal tree: j = 0
+
+    best = (sum([e[2] for e in tree]), sum([bit for _, bit in inside]), [e[3] for e in tree])
+    for j in range(1, len(inside) + 1):
+        connects = False
+        for left_out in combinations(inside, j):
+            out = {slot for slot, _ in left_out}
+            uf = UnionFind(len(index))
+            chosen: list[int] = []
+            weight: Cost = 0
+            for a, b, w, i in edges:
+                if a not in out and b not in out and uf.union(a, b):
+                    chosen.append(i)
+                    weight += w
+            if len(chosen) == len(tree) - j:  # C - X is connected
+                connects = True
+                mask = sum([bit for slot, bit in inside if slot not in out])
+                if (weight, mask) < best[:2]:
+                    best = (weight, mask, chosen)
+        if not connects:
+            break
+    weight, _, chosen = best
+    origins: set[int] = set()
+    for i in chosen:
+        origins.update(graph.edges[i][3])
+    return SteinerSolution(frozenset(origins), weight)
 
 
 def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
@@ -300,43 +316,35 @@ def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
 def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSolution) -> EulerMultigraph:
     """Directed multigraph whose Euler circuits are exactly the class tours.
 
-    Arcs come with their copy counts, so the balance and connectivity checks
-    and the multigraph itself are per distinct arc, not per traversal.
+    Copies per distinct arc, in one pass: request arcs, flow edges, then
+    each Steiner edge both ways (merged with its flow arc, should a library
+    caller's Steiner edge carry flow).  Balance is checked per distinct arc;
+    a balanced but disconnected multigraph is refused by euler_tour.
     """
     graph = instance.base
     edges, arc_flow, edge_flow = graph.edges, g.arc_flow, g.edge_flow
-    distinct: list[Arc] = []
-    copies: list[int] = []
+    counts: dict[Arc, int] = {}
     for aid, r in enumerate(instance.requests):
         if arc_flow[aid] > 0:
-            distinct.append((r.source, r.target, KIND_REQUEST, aid, r.cost))
-            copies.append(arc_flow[aid])
+            counts[(r.source, r.target, KIND_REQUEST, aid, r.cost)] = arc_flow[aid]
     for eid in compress(range(len(edges)), edge_flow):  # the edges with flow
         u, v, cost = edges[eid]
         val = edge_flow[eid]
         if val > 0:
-            distinct.append((u, v, KIND_EDGE, eid, cost))
+            counts[(u, v, KIND_EDGE, eid, cost)] = val
         else:
-            distinct.append((v, u, KIND_EDGE, eid, cost))
-        copies.append(abs(val))
+            counts[(v, u, KIND_EDGE, eid, cost)] = -val
     for eid in sorted(st.edge_ids):
         u, v, cost = edges[eid]
-        distinct.append((u, v, KIND_EDGE, eid, cost))
-        distinct.append((v, u, KIND_EDGE, eid, cost))
-        copies += (1, 1)
+        for arc in ((u, v, KIND_EDGE, eid, cost), (v, u, KIND_EDGE, eid, cost)):
+            counts[arc] = counts.get(arc, 0) + 1
 
-    counts: dict[Arc, int] = {}
     balance = [0] * (graph.vertex_count + 1)
-    for arc, c in zip(distinct, copies):
-        counts[arc] = counts.get(arc, 0) + c
+    for arc, c in counts.items():
         balance[arc[0]] += c
         balance[arc[1]] -= c
     if any(balance):
         raise RuntimeError("euler multigraph is unbalanced")
-    pairs = list(map(itemgetter(0, 1), distinct))
-    roots = component_roots(graph.vertex_count + 1, pairs)
-    if len({roots[u] for u, _ in pairs}) > 1:  # balanced: every head is a tail too
-        raise RuntimeError("euler multigraph is disconnected")
     return EulerMultigraph(counts)
 
 
@@ -353,7 +361,8 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     of whose tails has an unused arc pops whole, any other pops down to the
     last such tail and the walk resumes there.  The popped runs become the
     Tour's runs as they are, so interpreted work is per distinct arc and per
-    run.  The total is summed per run too, exact in any order.
+    run.  The total is summed per run too, exact in any order.  Arcs the
+    walk leaves unused mean mg is disconnected: RuntimeError.
     """
     counts = mg.counts
     if not counts:

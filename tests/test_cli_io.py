@@ -185,6 +185,7 @@ PARSE_ERRORS = [
     ("scp 1\nn 2\nn 3\n", "bad-size", 3, "vertex count given twice"),
     ("scp 1\nn 0\n", "bad-size", 2, "vertex count must be positive"),
     ("scp 1\nn 2\nedge 1 2\n", "bad-token", 3, "expected 'edge u v cost'"),
+    ("scp 1\nn 2\nedge 1 2 1 5\n", "bad-token", 3, "expected 'edge u v cost'"),
     ("scp 1\nn 2\nedge 1 2 x\n", "bad-token", 3, "edge cost is not a number: 'x'"),
     ("scp 1\nn 2\nedge 1 3 1\n", "bad-vertex", 3, "vertex 3 outside 1..2"),
     ("scp 1\nn 2\nedge 1 1 1\n", "self-loop", 3, "self-loop at vertex 1"),
@@ -208,6 +209,8 @@ PARSE_ERRORS = [
     ("scp 1\nn 3\nedge 1 2 1\n", "not-connected", 0, "1 edges cannot connect 3 vertices"),
     # request lines
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2\n", "bad-token", 4, "expected 'request s t cost [demand]'"),
+    ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 3 1 7\n", "bad-token", 4, "expected 'request s t cost [demand]'"),
+    ("scp 1\nrequest 1 2 1\n", "missing-size", 2, "request before 'n' line"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 x 3\n", "bad-token", 4, "vertex is not an integer: 'x'"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 y\n", "bad-token", 4, "request cost is not a number: 'y'"),
     ("scp 1\nn 2\nedge 1 2 1\nrequest 0 2 3\n", "bad-vertex", 4, "vertex 0 outside 1..2"),

@@ -17,12 +17,13 @@ import hashlib
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, random_instance, shortest_path, solve
 from scpsolver.acceptance import _family_instance
 from scpsolver.graph_core import SegmentGraph
-from scpsolver.oracle import SplitMix64
+from scpsolver.oracle import SplitMix64, brute_force_tour, verify_tour
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "report_digests.json")
 
@@ -41,6 +42,7 @@ TENTHS_DRAWS = 12
 # each of the first 40,000 draws whose report changes when the segment
 # repair keeps neither base tie-break (3760 on)
 TIE_SEEDS = (17, 27, 28, 35, 44, 50, 425, 2525, 3760, 5448, 10757, 11979, 14521, 16187, 24409, 25898, 26806, 27030, 38937, 39938)
+TREE_DEPTHS = (2, 3, 4, 5)
 
 
 def chain_instance(family: str, n: int, rng: SplitMix64) -> Instance:
@@ -125,6 +127,19 @@ def tie_instance(seed: int) -> Instance:
     return Instance(graph, tuple(requests.values()))
 
 
+def tree_instance(depth: int, seed: int) -> Instance:
+    """The complete binary tree of the given depth (vertices 1..2^(depth+1)-1,
+    edges v//2 - v, costs 1-9) with one request from each left leaf to its
+    sibling, cost 1-9.  r = 0, but every repair's reduced graph keeps all
+    2^(depth-1) - 2 inner vertices above the leaves' parents as Steiner
+    vertices: the tree of the Steiner sweep's worst case."""
+    rng = SplitMix64(seed)
+    n = 2 ** (depth + 1) - 1
+    graph = BaseGraph.from_edges(n, [(v // 2, v, rng.randint(1, 9)) for v in range(2, n + 1)])
+    leaves = range(2**depth, n + 1, 2)
+    return Instance(graph, tuple(Request(v, v + 1, rng.randint(1, 9)) for v in leaves))
+
+
 def cases() -> dict[str, Instance]:
     out: dict[str, Instance] = {}
     for seed in range(RANDOM_DRAWS):
@@ -141,6 +156,8 @@ def cases() -> dict[str, Instance]:
         out[f"tenths/{seed}"] = tenths_instance(seed)
     for seed in TIE_SEEDS:
         out[f"ties/{seed}"] = tie_instance(seed)
+    for depth in TREE_DEPTHS:
+        out[f"tree/{depth}"] = tree_instance(depth, depth)
     out["tenths/triangle"] = Instance(
         BaseGraph.from_edges(3, [(1, 2, Fraction(1, 10)), (2, 3, Fraction(2, 10)), (1, 3, Fraction(7, 10))]),
         (Request(1, 3, Fraction(3, 10)),),
@@ -213,7 +230,28 @@ def test_golden_corpus_solves_every_case_and_covers_long_tours():
     assert sum(name.startswith("chain/") for name in golden) == len(CHAIN_SIZES) * CHAINS_PER_SIZE
     assert sum(name.startswith("tenths/") for name in golden) == TENTHS_DRAWS + 1
     assert sum(name.startswith("ties/") for name in golden) == len(TIE_SEEDS)
+    assert sum(name.startswith("tree/") for name in golden) == len(TREE_DEPTHS)
     assert len(golden) > 350
+
+
+def test_deep_sibling_trees_solve_in_under_a_second():
+    # each repair of depth d keeps 2^(d-1) - 2 Steiner vertices, 30 at depth
+    # 6: a sweep of every mask took hours there, the sweep by left-out count
+    # takes milliseconds
+    for depth in (6, 7, 8):
+        instance = tree_instance(depth, depth)
+        start = time.perf_counter()
+        report = solve(instance)
+        assert time.perf_counter() - start < 1.0, depth
+        cost, tour = cli_io.parse_report(emit_report(report, "json"))
+        check = verify_tour(instance, tour)
+        assert check.valid and check.cost == cost == report.cost, depth
+
+
+def test_small_sibling_trees_match_the_brute_force_oracle():
+    for depth in (2, 3):
+        instance = tree_instance(depth, depth)
+        assert solve(instance).cost == brute_force_tour(instance).cost
 
 
 if __name__ == "__main__":

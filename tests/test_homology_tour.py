@@ -460,6 +460,107 @@ def test_steiner_ignores_vertex_numbering():
         assert sol.weight == brute_force_steiner(sparse, sparse.terminals).cost
 
 
+def reference_min_steiner_tree(graph, terminals):
+    """min_steiner_tree as it swept every one of the 2^s masks, ascending,
+    keeping the first of the least weight: the witness to reproduce."""
+    if not terminals:
+        raise ValueError("terminal set is empty")
+    if not terminals <= set(graph.vertices):
+        raise ValueError("terminal not present in graph")
+    if len(terminals) == 1:
+        return SteinerSolution(frozenset(), 0)
+    steiner = sorted(set(graph.vertices) - terminals)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    order = sorted(range(len(graph.edges)), key=lambda i: (graph.edges[i][2], i))
+    best = None
+    for mask in range(1 << len(steiner)):
+        nodes = set(terminals) | {v for i, v in enumerate(steiner) if mask >> i & 1}
+        roots = list(range(len(graph.vertices)))
+
+        def find(x):
+            while roots[x] != x:
+                x = roots[x]
+            return x
+
+        chosen, weight = [], 0
+        for i in order:
+            u, v, w, _ = graph.edges[i]
+            if u in nodes and v in nodes and find(index[u]) != find(index[v]):
+                roots[find(index[u])] = find(index[v])
+                chosen.append(i)
+                weight += w
+        if len(chosen) == len(nodes) - 1 and (best is None or weight < best[0]):
+            best = (weight, frozenset(eid for i in chosen for eid in graph.edges[i][3]))
+    if best is None:
+        raise ValueError("homology class disconnected")
+    return SteinerSolution(best[1], best[0])
+
+
+def random_raw_graph(rng):
+    """A graph no preprocessing has touched: 1-3 random pieces, the first
+    holding the terminals (one in six draws puts one in another piece),
+    sparse ascending ids, weights 0-4 so that trees tie, 1-2 origin ids
+    per edge."""
+    ids, edges, pieces, origin = [], [], [], 0
+    for _ in range(rng.randint(1, 3)):
+        piece = list(range(len(ids), len(ids) + rng.randint(1, 5)))
+        ids += piece
+        pieces.append(piece)
+        pairs = [(rng.choice(piece[:i]), v) for i, v in enumerate(piece) if i]
+        pairs += [(u, v) for u in piece for v in piece if u < v and rng.randint(0, 3) == 0]
+        for u, v in sorted(set(pairs)):
+            width = rng.randint(1, 2)
+            edges.append((u, v, rng.randint(0, 4), tuple(range(origin, origin + width))))
+            origin += width
+    terminals = {rng.choice(pieces[0]) for _ in range(rng.randint(1, 3))}
+    if rng.randint(0, 5) == 0:
+        terminals.add(rng.choice(pieces[-1]))
+    sparse = {v: 2 + 3 * v + rng.randint(0, 2) for v in ids}
+    edges = tuple((sparse[u], sparse[v], w, o) for u, v, w, o in edges)
+    return ReducedGraph(tuple(sparse.values()), frozenset(map(sparse.get, terminals)), edges)
+
+
+def steiner_outcome(sweep, graph):
+    try:
+        return sweep(graph, graph.terminals)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_steiner_sweep_by_left_out_count_keeps_the_mask_sweeps_witness():
+    # a sweep not restricted to the terminals' component differs on 65 of
+    # the raw draws (Steiner-only components); one that stops at the first
+    # left-out count without a lighter tree differs on 32 raw and 48
+    # preprocessed draws, whose optimum leaves out more vertices than that
+    rng = SplitMix64(2024)
+    raw, split = [random_raw_graph(rng) for _ in range(1500)], 0
+    reduced = [steiner_preprocess(random_contracted_graph(rng)) for _ in range(1500)]
+    for graph in raw + reduced:
+        want = steiner_outcome(reference_min_steiner_tree, graph)
+        assert steiner_outcome(min_steiner_tree, graph) == want, graph
+        split += want == "homology class disconnected"
+    assert 100 < split < 500, split
+
+
+def test_steiner_sweep_stops_early_on_trees(monkeypatch):
+    # a complete binary tree whose 32 leaves are the terminals: leaving out
+    # any one of its 31 inner Steiner vertices disconnects, so the sweep
+    # makes s + 1 = 32 Kruskal passes where the mask sweep made 2^31
+    made = []
+
+    class Counting(homology_tour.UnionFind):
+        def __init__(self, size):
+            made.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr(homology_tour, "UnionFind", Counting)
+    edges = tuple((v // 2, v, v % 3, (v,)) for v in range(2, 64))
+    graph = ReducedGraph(tuple(range(1, 64)), frozenset(range(32, 64)), edges)
+    sol = min_steiner_tree(graph, graph.terminals)
+    assert sol == SteinerSolution(frozenset(range(2, 64)), sum(v % 3 for v in range(2, 64)))
+    assert len(made) == 1 + 31  # the components with C whole, then C less each one
+
+
 # --- repair, euler multigraph, tours ---
 
 
@@ -537,8 +638,28 @@ def test_euler_multigraph_rejects_disconnected_flow():
     )
     inst = Instance(g, ())
     two_loops = Circulation((1, -1, 1, 1, -1, 1, 0, 0), ())
-    with pytest.raises(RuntimeError):
-        build_euler_multigraph(inst, two_loops, SteinerSolution(frozenset(), 0))
+    # balanced, so the multigraph is built; the walk leaves one loop unused
+    with pytest.raises(RuntimeError, match="disconnected"):
+        euler_tour(build_euler_multigraph(inst, two_loops, SteinerSolution(frozenset(), 0)))
+
+
+def test_euler_multigraph_merges_a_steiner_edge_that_carries_flow():
+    # edge 0 carries the return flow 2 -> 1 and is a Steiner edge as well
+    inst, g = split_path_instance()
+    mg = build_euler_multigraph(inst, g, SteinerSolution(frozenset({0, 1}), 12))
+    assert mg.counts == {
+        (1, 2, KIND_REQUEST, 0, 1): 1,
+        (3, 4, KIND_REQUEST, 1, 1): 1,
+        (2, 1, KIND_EDGE, 0, 1): 2,
+        (4, 3, KIND_EDGE, 2, 1): 1,
+        (1, 2, KIND_EDGE, 0, 1): 1,
+        (2, 3, KIND_EDGE, 1, 5): 1,
+        (3, 2, KIND_EDGE, 1, 5): 1,
+    }
+    tour = euler_tour(mg)
+    check = verify_tour(inst, tour)
+    assert check.valid and check.cost == tour.total == 16
+    assert check.circulation.edge_flow == (-1, 0, -1)
 
 
 def test_euler_tour_of_nothing_is_empty():

@@ -13,7 +13,7 @@ import json
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -41,7 +41,6 @@ from .graph_core import (
 )
 from .homology_tour import (
     KIND_REQUEST,
-    SteinerSolution,
     StepKey,
     Tour,
     build_euler_multigraph,
@@ -272,12 +271,6 @@ def format_instance(instance: Instance, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-# solve repairs the surviving box points in batches of at most this many,
-# cheapest first.  A batch is held in memory, one circulation per point; a
-# box of rank r <= 2 (at most 25 points) fits in one.
-REPAIR_BATCH = 64
-
-
 def solve(instance: Instance) -> SolveReport:
     """Exact minimum-cost tour serving every request its demanded number of times.
 
@@ -307,22 +300,20 @@ def solve(instance: Instance) -> SolveReport:
     Every box point is priced once, in Gray order, by one
     ``circulation_cost`` call; every candidate carries the segment
     instance's own ``demands`` tuple, so only the segment terms are summed
-    per point.  A point whose base cost is at most the incumbent's total
-    (``bound``, infinite until the first batch is repaired) joins a batch,
-    and a full batch (and the last one) is repaired in ascending base cost,
-    so the cheapest points set the incumbent before the dearer ones are
-    reached: on relax-chain this repairs a third as many points as
-    repairing each one in Gray order.
-
-    Ties go to the lexicographically smallest lambda, whatever the order of
-    the sweep or of a batch: a point is skipped only when its total cannot
-    beat the incumbent, or can only tie it with a larger lambda, because
-    repair weights are nonnegative.  In a sorted batch, the first point
-    dearer than the incumbent's total ends it, since every later one costs
-    at least as much.  lambda is read off g, not carried through the
-    sweep: C_i is sign_i on its own segment and 0 on every other non-tree
-    segment, so lambda_i = sign_i * (g - f) on that segment.  It is rebuilt
-    only for the points of a batch that are reached.
+    per point.  lambda = 0, the relaxation's own class, is priced and
+    repaired first and is the first incumbent: it wins most solves, and its
+    total bounds every other point from the start.  The reflected Gray walk
+    is point-symmetric, so lambda = 0 is its middle candidate, and the sweep
+    skips exactly that yield.  A point is repaired as the walk meets it
+    unless its total cannot beat the incumbent, or can only tie it with a
+    larger lambda, because repair weights are nonnegative; ties go to the
+    lexicographically smallest lambda whatever the order of the walk.
+    ``connectivity_repair`` reads a candidate only through its support, the
+    segments that carry flow (every arc carries its demand), so each
+    support is repaired once and its witness reused.  lambda is read off g,
+    not carried through the sweep: C_i is sign_i on its own segment and 0 on
+    every other non-tree segment, so lambda_i = sign_i * (g - f) on that
+    segment.  It is rebuilt only for the points that reach the incumbent.
     """
     graph = instance.base
     if not isinstance(sum(graph.edge_costs, sum(instance.arc_costs)), int):
@@ -354,34 +345,27 @@ def solve(instance: Instance) -> SolveReport:
     f_seg = Circulation(seg.project(f.edge_flow), inner.demands)
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
-    best: tuple[Cost, LambdaVector, Circulation, SteinerSolution] | None = None
-    bound: Cost | float = math.inf  # the incumbent's total once a batch is repaired
-    pending: list[tuple[Cost, Circulation]] = []
-
-    def repair_pending() -> None:
-        # cheapest first, so the incumbent tightens before the dearer points
-        nonlocal best, bound
-        pending.sort(key=itemgetter(0))
-        for base_cost, g in pending:
-            if best is not None and base_cost > best[0]:
-                break  # repair weight is nonnegative: no point from here on can win
-            lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
-            if best is not None and base_cost == best[0] and lam > best[1]:
-                continue
-            st = connectivity_repair(inner, g)
-            total = base_cost + st.weight
-            if best is None or total < best[0] or (total == best[0] and lam < best[1]):
-                best = (total, lam, g, st)
-        pending.clear()
-        bound = best[0]
-
-    for g in enumerate_candidates(f_seg, basis, r):
+    st = connectivity_repair(inner, f_seg)
+    repaired = {tuple(map(bool, f_seg.edge_flow)): st}  # support -> its repair
+    best = (cost_of(inner, f_seg) + st.weight, (0,) * r, f_seg, st)
+    bound = best[0]
+    box = (2 * r + 1) ** r
+    walk = enumerate_candidates(f_seg, basis, r)
+    for g in chain(islice(walk, box // 2), islice(walk, 1, None)):  # all but lambda = 0
         base_cost = cost_of(inner, g)
-        if base_cost <= bound:
-            pending.append((base_cost, g))
-            if len(pending) == REPAIR_BATCH:
-                repair_pending()
-    repair_pending()
+        if base_cost > bound:
+            continue  # repair weight is nonnegative: this point cannot win
+        lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
+        if base_cost == bound and lam > best[1]:
+            continue
+        support = tuple(map(bool, g.edge_flow))
+        st = repaired.get(support)
+        if st is None:
+            st = repaired[support] = connectivity_repair(inner, g)
+        total = base_cost + st.weight
+        if total < bound or (total == bound and lam < best[1]):
+            best = (total, lam, g, st)
+            bound = total
 
     total, lam, g, st = best
     g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
@@ -389,7 +373,7 @@ def solve(instance: Instance) -> SolveReport:
     tour = euler_tour(build_euler_multigraph(instance, g, st))
     if tour.total != total:
         raise RuntimeError("winning tour cost disagrees with candidate cost")
-    return SolveReport(tour, total, n, m, p, r, k, (2 * r + 1) ** r, lam)
+    return SolveReport(tour, total, n, m, p, r, k, box, lam)
 
 
 def _step_pieces(tour: Tour, rendered: list[str]) -> list[str]:

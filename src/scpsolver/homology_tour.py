@@ -245,7 +245,11 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
     One Kruskal pass over the whole graph finds C, and its forest within C
     is the tree for j = 0.  No subset is visited twice, so at most 2^s for
     s Steiner vertices, and a tree-like C, where leaving out any one
-    disconnects, costs s + 1 passes.
+    disconnects, costs s + 1 passes.  A Steiner vertex x whose j = 1 pass
+    leaves the terminals in more than one component of C - x is in no X
+    that connects, as C - X lies inside C - x, so from j = 2 on only the
+    other Steiner vertices are left out; the stop rule still holds among
+    them, as X - x is among them when X is.
 
     Bit i of a subset's mask stands for the i-th Steiner vertex ascending.
     The witness is the tree of the least (weight, mask), so it has no
@@ -273,9 +277,12 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
     tree = [e for e in forest if whole.find(e[0]) == root]  # C's Kruskal tree: j = 0
 
     best = (sum([e[2] for e in tree]), sum([bit for _, bit in inside]), [e[3] for e in tree])
+    ends = [index[t] for t in terminals]
+    separating: set[tuple[int, int]] = set()  # in no left-out set that connects
+    free = inside  # the Steiner vertices a connecting X may leave out
     for j in range(1, len(inside) + 1):
         connects = False
-        for left_out in combinations(inside, j):
+        for left_out in combinations(free, j):
             out = {slot for slot, _ in left_out}
             uf = UnionFind(len(index))
             chosen: list[int] = []
@@ -289,8 +296,12 @@ def min_steiner_tree(graph: ReducedGraph, terminals: frozenset[int]) -> SteinerS
                 mask = sum([bit for slot, bit in inside if slot not in out])
                 if (weight, mask) < best[:2]:
                     best = (weight, mask, chosen)
+            elif j == 1 and len({uf.find(t) for t in ends}) > 1:
+                separating.add(left_out[0])
         if not connects:
             break
+        if j == 1:
+            free = [x for x in inside if x not in separating]
     weight, _, chosen = best
     origins: set[int] = set()
     for i in chosen:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import scpsolver
 from scpsolver import acceptance, cli, cli_io, graph_core
 from scpsolver.acceptance import _family_instance, run_acceptance
-from scpsolver.circulation import Circulation, Instance, Request, circulation_cost, min_cost_circulation
+from scpsolver.circulation import Circulation, Instance, Request, circulation_cost, min_cost_circulation, segment_instance
 from scpsolver.cli import BAD_INPUT, FAIL, OK, main
 from scpsolver.cli_io import (
     MAX_DIGITS,
@@ -24,7 +25,7 @@ from scpsolver.cli_io import (
     solve,
 )
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
-from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, smooth_topology, spanning_tree
+from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, segment_basis, smooth_topology, spanning_tree
 from scpsolver.homology_tour import Tour, connectivity_repair
 from scpsolver.oracle import SplitMix64, brute_force_tour, random_instance, verify_tour
 
@@ -344,17 +345,6 @@ def test_solve_matches_the_reference_sweep():
     assert ranks == {0, 1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_any_repair_batch_matches_the_reference_sweep(monkeypatch, batch):
-    # batch 1 repairs each surviving point as it is met, in Gray order; batch 3
-    # flushes mid-run, so a later flush starts from an earlier incumbent
-    monkeypatch.setattr(cli_io, "REPAIR_BATCH", batch)
-    for i, instance in enumerate(sweep_cases()):
-        if i % 4 == 0 or i >= 500:
-            report = solve(instance)
-            assert (report.cost, report.winning_lambda, report.candidates_evaluated) == reference_sweep(instance)
-
-
 def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypatch):
     # the sweep's contract at library scale: one candidate and one
     # circulation_cost call per box point, and every candidate carries the
@@ -392,35 +382,56 @@ def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypa
     assert {2, 3, 4, 5} <= ranks
 
 
-def repaired_costs(monkeypatch, instance, batch):
-    """solve's report, and the base costs of the points it repairs on the
-    segment graph, in repair order."""
-    costs = []
+def test_sweep_repairs_lambda_zero_first_and_then_only_points_under_the_incumbent(monkeypatch):
+    # the first repair is the relaxation's own class; every later one is of a
+    # point whose base cost is at most the incumbent's total when it is met.
+    # That total is the least total of the points priced before it, since a
+    # point the sweep skips costs at least as much as the incumbent.
+    from test_golden import tie_instance
 
-    def recorded(inner, g):
-        costs.append(circulation_cost(inner, g))
-        return connectivity_repair(inner, g)
+    priced: list[Circulation] = []
+    repairs: list[tuple[int, Circulation]] = []
+    price, repair = cli_io.circulation_cost, cli_io.connectivity_repair
 
-    monkeypatch.setattr(cli_io, "connectivity_repair", recorded)
-    monkeypatch.setattr(cli_io, "REPAIR_BATCH", batch)
-    return solve(instance), costs
+    def recorded_price(inner, g):
+        priced.append(g)
+        return price(inner, g)
 
+    def recorded_repair(inner, g):
+        repairs.append((len(priced), g))
+        return repair(inner, g)
 
-def test_sweep_repairs_the_cheapest_points_first(monkeypatch):
-    # each box here fits in one batch, so repairs go in ascending base cost;
-    # with batch 1 they go in Gray order, one per point that beats the incumbent
-    default = cli_io.REPAIR_BATCH
-    fewer = 0
-    for size in range(16, 41, 4):
-        for family in ("cycle", "theta"):
-            instance = _family_instance(family, size, 1)
-            report, costs = repaired_costs(monkeypatch, instance, default)
-            assert report.candidates_evaluated <= default
-            assert costs == sorted(costs)
-            in_gray_order, gray_costs = repaired_costs(monkeypatch, instance, 1)
-            assert in_gray_order == report
-            fewer += len(costs) < len(gray_costs)
-    assert fewer >= 10
+    monkeypatch.setattr(cli_io, "circulation_cost", recorded_price)
+    monkeypatch.setattr(cli_io, "connectivity_repair", recorded_repair)
+    rng = SplitMix64(26)
+    instances = [_family_instance(family, size, 1) for size in range(16, 41, 4) for family in ("cycle", "theta")]
+    instances += [_family_instance("grid-aisle", size, 1) for size in (3, 4)]
+    instances += [random_instance(rng.next64(), 10, 4, 6, 20) for _ in range(60)]
+    instances += [tie_instance(seed) for seed in range(100)]
+    later = 0
+    for instance in instances:
+        if not instance.requests:
+            continue
+        priced.clear()
+        repairs.clear()
+        report = solve(instance)
+        seg = smooth_topology(instance.base, {v for q in instance.requests for v in (q.source, q.target)})
+        inner = segment_instance(instance, seg)
+        assert repairs[0] == (0, Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands))
+        assert len(priced) == report.candidates_evaluated
+        weights = {}  # support -> repair weight
+        totals = []
+        for g in priced:
+            support = tuple(map(bool, g.edge_flow))
+            if support not in weights:
+                weights[support] = repair(inner, g).weight
+            totals.append(price(inner, g) + weights[support])
+        incumbent = list(accumulate(totals, min))  # incumbent[i]: once priced[i] is settled
+        for seen, g in repairs[1:]:
+            assert g is priced[seen - 1]
+            assert price(inner, g) <= incumbent[seen - 2]
+            later += 1
+    assert later > 40, later
 
 
 # tie_instance draws on which a segment repair keeping only one of the two
@@ -431,31 +442,32 @@ ONE_ORDER_DRAWS = {
 }
 
 
-def test_segment_repair_witness_is_the_base_repair_witness(monkeypatch):
-    # every split candidate solve repairs: its segment Steiner tree, segment
-    # ids expanded to base edge ids, is the base repair's of the expanded
-    # circulation, tie-breaks included
+def test_segment_repair_witness_is_the_base_repair_witness():
+    # every split support of the box solve sweeps: its segment Steiner tree,
+    # segment ids expanded to base edge ids, is the base repair's of the
+    # expanded circulation, tie-breaks included.  The repair reads a point
+    # only through its support, so each support is checked once.
     from test_golden import tie_instance
 
     checked = set()
-
-    def checking(inner, g):
-        st = connectivity_repair(inner, g)
-        if st.edge_ids:
-            seg = inner.base
-            base_g = Circulation(seg.expand(g.edge_flow, len(instance.base.edges)), g.arc_flow)
-            expanded = frozenset(eid for sid in st.edge_ids for eid in seg.edges[sid].edge_ids)
-            assert (expanded, st.weight) == connectivity_repair(instance, base_g), seed
-            checked.add((seed, g))
-        return st
-
-    monkeypatch.setattr(cli_io, "connectivity_repair", checking)
     pinned = [seed for draws in ONE_ORDER_DRAWS.values() for seed in draws]
     for seed in (*range(100), *pinned):
         instance = tie_instance(seed)
-        solve(instance)
+        seg = smooth_topology(instance.base, {v for q in instance.requests for v in (q.source, q.target)})
+        inner, basis = segment_instance(instance, seg), segment_basis(seg, spanning_tree(instance.base))
+        f = Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands)
+        supports = {}
+        for g in enumerate_candidates(f, basis, seg.cycle_rank):
+            supports.setdefault(tuple(map(bool, g.edge_flow)), g)
+        for g in supports.values():
+            st = connectivity_repair(inner, g)
+            if st.edge_ids:
+                base_g = Circulation(seg.expand(g.edge_flow, len(instance.base.edges)), g.arc_flow)
+                expanded = frozenset(eid for sid in st.edge_ids for eid in seg.edges[sid].edge_ids)
+                assert (expanded, st.weight) == connectivity_repair(instance, base_g), seed
+                checked.add((seed, g))
     assert {seed for seed, _ in checked} >= set(pinned)
-    assert len(checked) > 200, len(checked)
+    assert len(checked) > 400, len(checked)
 
 
 def test_solve_repairs_on_the_segment_graph_only(monkeypatch):

@@ -158,6 +158,24 @@ def test_candidates_match_from_scratch_evaluation():
                 assert got.arc_flow is inner.demands
 
 
+@pytest.mark.parametrize("r", range(6))
+def test_middle_candidate_is_the_base_circulation(r):
+    # the reflected walk is point-symmetric, so its middle point is lambda =
+    # 0: cli_io.solve prices f before the sweep and skips that one yield
+    if r == 0:
+        inst = Instance(BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)]), (Request(1, 3, 2),))
+    else:
+        inst = _family_instance("grid-aisle", r + 1, 1)
+    basis = basis_of(inst)
+    assert len(basis.non_tree_edges) == r
+    f = min_cost_circulation(inst)
+    for k in range(4):
+        cands = list(enumerate_candidates(f, basis, k))
+        assert len(cands) % 2 == 1
+        assert cands[len(cands) // 2] == f
+        assert list(gray_code_lambdas(r, k))[len(cands) // 2] == (0,) * r
+
+
 def test_candidates_reject_negative_radius():
     inst = Instance(BaseGraph.from_edges(2, [(1, 2, 1)]), ())
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, random_instance, shortest_path, solve
+from scpsolver import BaseGraph, Instance, Request, cli_io, emit_report, homology_tour, random_instance, shortest_path, solve
 from scpsolver.acceptance import _family_instance
 from scpsolver.graph_core import SegmentGraph
 from scpsolver.oracle import SplitMix64, brute_force_tour, verify_tour
@@ -43,6 +43,8 @@ TENTHS_DRAWS = 12
 # repair keeps neither base tie-break (3760 on)
 TIE_SEEDS = (17, 27, 28, 35, 44, 50, 425, 2525, 3760, 5448, 10757, 11979, 14521, 16187, 24409, 25898, 26806, 27030, 38937, 39938)
 TREE_DEPTHS = (2, 3, 4, 5)
+# chorded_instance (depth, chords) cases, seed 1
+CHORDED = tuple((depth, chords) for depth in (4, 5, 6) for chords in (1, 2, 3, 4)) + ((7, 4),)
 
 
 def chain_instance(family: str, n: int, rng: SplitMix64) -> Instance:
@@ -140,6 +142,25 @@ def tree_instance(depth: int, seed: int) -> Instance:
     return Instance(graph, tuple(Request(v, v + 1, rng.randint(1, 9)) for v in leaves))
 
 
+def chorded_instance(depth: int, chords: int, seed: int) -> Instance:
+    """tree_instance(depth, seed) plus the given number of chords of cost 1,
+    each between two distinct vertices of level depth - 2 (ids 2^(depth-2)
+    to 2^(depth-1) - 1) not yet joined, drawn by SplitMix64(7 * seed +
+    chords).  r = chords, and the repair weight dwarfs the spread of base
+    costs, so the incumbent prunes almost no box point: the branchy family
+    where nearly every point is repaired but few supports are distinct."""
+    tree = tree_instance(depth, seed)
+    rng = SplitMix64(7 * seed + chords)
+    lo, hi = 2 ** (depth - 2), 2 ** (depth - 1) - 1
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < chords:
+        a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+        if a != b and (min(a, b), max(a, b)) not in pairs:
+            pairs.append((min(a, b), max(a, b)))
+    graph = BaseGraph.from_edges(tree.base.vertex_count, [*tree.base.edges, *((a, b, 1) for a, b in pairs)])
+    return Instance(graph, tree.requests)
+
+
 def cases() -> dict[str, Instance]:
     out: dict[str, Instance] = {}
     for seed in range(RANDOM_DRAWS):
@@ -158,6 +179,8 @@ def cases() -> dict[str, Instance]:
         out[f"ties/{seed}"] = tie_instance(seed)
     for depth in TREE_DEPTHS:
         out[f"tree/{depth}"] = tree_instance(depth, depth)
+    for depth, chords in CHORDED:
+        out[f"chorded/{depth}/{chords}"] = chorded_instance(depth, chords, 1)
     out["tenths/triangle"] = Instance(
         BaseGraph.from_edges(3, [(1, 2, Fraction(1, 10)), (2, 3, Fraction(2, 10)), (1, 3, Fraction(7, 10))]),
         (Request(1, 3, Fraction(3, 10)),),
@@ -231,6 +254,7 @@ def test_golden_corpus_solves_every_case_and_covers_long_tours():
     assert sum(name.startswith("tenths/") for name in golden) == TENTHS_DRAWS + 1
     assert sum(name.startswith("ties/") for name in golden) == len(TIE_SEEDS)
     assert sum(name.startswith("tree/") for name in golden) == len(TREE_DEPTHS)
+    assert sum(name.startswith("chorded/") for name in golden) == len(CHORDED)
     assert len(golden) > 350
 
 
@@ -252,6 +276,41 @@ def test_small_sibling_trees_match_the_brute_force_oracle():
     for depth in (2, 3):
         instance = tree_instance(depth, depth)
         assert solve(instance).cost == brute_force_tour(instance).cost
+
+
+def test_deep_chorded_trees_solve_in_under_two_seconds():
+    # r = 4 and nearly every box point reaches repair, but only 47 and 30
+    # distinct supports, each repaired once
+    for depth in (7, 8):
+        instance = chorded_instance(depth, 4, 1)
+        start = time.perf_counter()
+        report = solve(instance)
+        assert time.perf_counter() - start < 2.0, depth
+        assert report.r == 4
+        cost, tour = cli_io.parse_report(emit_report(report, "json"))
+        check = verify_tour(instance, tour)
+        assert check.valid and check.cost == cost == report.cost, depth
+
+
+def test_small_chorded_trees_match_the_brute_force_oracle():
+    for depth, chords in ((3, 1), (4, 1), (4, 2)):
+        instance = chorded_instance(depth, chords, 1)
+        assert solve(instance).cost == brute_force_tour(instance).cost, (depth, chords)
+
+
+def test_chorded_depth_7_builds_few_union_finds(monkeypatch):
+    # one Steiner sweep per distinct support (47), and no left-out set of
+    # two or more holds a Steiner vertex that separates terminals
+    made = []
+
+    class Counting(homology_tour.UnionFind):
+        def __init__(self, size):
+            made.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr(homology_tour, "UnionFind", Counting)
+    solve(chorded_instance(7, 4, 1))
+    assert len(made) == 2078
 
 
 if __name__ == "__main__":

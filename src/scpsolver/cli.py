@@ -21,6 +21,10 @@ OK = 0
 FAIL = 1
 BAD_INPUT = 2
 
+# the most steps ``solve`` writes out: a report lists every step, and a huge
+# demand would fill memory (10**7 steps are about 0.45 GB of JSON)
+MAX_REPORT_STEPS = 10**7
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -65,6 +69,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             instance = parse_instance(_read(args.file))
             report = solve(instance)
+            steps = sum([len(seq) * copies for seq, copies in report.tour.runs])
+            if steps > MAX_REPORT_STEPS:
+                print(f"solver error: the tour has {steps} steps, more than a report may list ({MAX_REPORT_STEPS})", file=sys.stderr)
+                return FAIL
             sys.stdout.write(emit_report(report, "json" if args.json else "text"))
             return OK
 

@@ -297,14 +297,12 @@ def solve(instance: Instance) -> SolveReport:
     and tour are built on the base graph, so reports do not depend on the
     compression.
 
-    Every box point is priced once, in Gray order, by one
-    ``circulation_cost`` call; every candidate carries the segment
-    instance's own ``demands`` tuple, so only the segment terms are summed
-    per point.  lambda = 0, the relaxation's own class, is priced and
-    repaired first and is the first incumbent: it wins most solves, and its
-    total bounds every other point from the start.  The reflected Gray walk
-    is point-symmetric, so lambda = 0 is its middle candidate, and the sweep
-    skips exactly that yield.  A point is repaired as the walk meets it
+    Every box point is priced once by one ``circulation_cost`` call; every
+    candidate carries the segment instance's own ``demands`` tuple, so only
+    the segment terms are summed per point.  lambda = 0, the relaxation's
+    own class, goes first, then the Gray walk: it wins most solves, and its
+    total bounds the rest.  The reflected walk is point-symmetric, so its
+    middle yield is lambda = 0 again and is skipped.  A point is repaired
     unless its total cannot beat the incumbent, or can only tie it with a
     larger lambda, because repair weights are nonnegative; ties go to the
     lexicographically smallest lambda whatever the order of the walk.
@@ -345,13 +343,12 @@ def solve(instance: Instance) -> SolveReport:
     f_seg = Circulation(seg.project(f.edge_flow), inner.demands)
     f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
-    st = connectivity_repair(inner, f_seg)
-    repaired = {tuple(map(bool, f_seg.edge_flow)): st}  # support -> its repair
-    best = (cost_of(inner, f_seg) + st.weight, (0,) * r, f_seg, st)
+    repaired = {}  # support -> its repair
+    best = (math.inf, ())  # (total, lambda, g, repair) once a point is repaired
     bound = best[0]
     box = (2 * r + 1) ** r
     walk = enumerate_candidates(f_seg, basis, r)
-    for g in chain(islice(walk, box // 2), islice(walk, 1, None)):  # all but lambda = 0
+    for g in chain((f_seg,), islice(walk, box // 2), islice(walk, 1, None)):  # lambda = 0 first
         base_cost = cost_of(inner, g)
         if base_cost > bound:
             continue  # repair weight is nonnegative: this point cannot win

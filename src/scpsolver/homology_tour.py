@@ -22,20 +22,10 @@ KIND_REQUEST = "request"
 KIND_EDGE = "edge"
 
 
-class ContractedGraph(NamedTuple):
-    """Support components shrunk to terminals; edge weights are doubled costs."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int, Cost, int], ...]  # (u, v, weight, original edge_id)
-    terminals: frozenset[int]
-    vertex_map: dict[int, int]
-
-
 class ReducedGraph(NamedTuple):
-    """Contracted graph after Steiner preprocessing.
-
-    Each edge carries the sorted tuple of original edge ids it stands for.
-    """
+    """A Steiner instance, before or after preprocessing: support components
+    shrunk to terminals, doubled costs as edge weights, and on each edge the
+    sorted tuple of original edge ids it stands for."""
 
     vertices: tuple[int, ...]
     terminals: frozenset[int]
@@ -110,8 +100,8 @@ class Tour:
     def __hash__(self) -> int:
         return hash((self.steps, self.total))
 
-    def __repr__(self) -> str:
-        return f"Tour(steps={self.steps!r}, total={self.total!r})"
+    def __repr__(self) -> str:  # run-length, as steps may not fit in memory
+        return f"Tour.from_runs(keys={self.keys!r}, runs={self.runs!r}, total={self.total!r})"
 
 
 class EulerMultigraph:
@@ -129,7 +119,7 @@ class EulerMultigraph:
         return tuple(chain.from_iterable(map(repeat, self.counts, self.counts.values())))
 
 
-def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, int]], roots: list[int]) -> ContractedGraph:
+def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, int]], roots: list[int]) -> ReducedGraph:
     """One quotient vertex per support component, one per untouched vertex.
 
     ``pairs`` is ``support_pairs(instance, g)`` and ``roots`` their
@@ -150,60 +140,61 @@ def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, 
     for e in compress(graph.edges, g.edge_flow):  # the supported edges
         low[roots[e.u]] = min(low[roots[e.u]], e.low)
     classes = sorted([v for v in range(1, len(low)) if roots[v] == v], key=low.__getitem__)
-    qid = dict(zip(classes, range(len(classes))))
-    vertex_map = {v: qid[roots[v]] for v in range(1, len(low))}
+    qid = dict(zip(classes, range(len(classes))))  # class root -> quotient id
 
-    quotient_edges: list[tuple[int, int, Cost, int]] = []
+    quotient_edges: list[tuple[int, int, Cost, tuple[int, ...]]] = []
     for eid, e in enumerate(graph.edges):
         if g.edge_flow[eid] != 0:
             continue  # contracted inside its component
-        qu, qv = vertex_map[e.u], vertex_map[e.v]
+        qu, qv = qid[roots[e.u]], qid[roots[e.v]]
         if qu == qv:
             continue  # self-loop, useless for reconnection
-        quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, eid))
+        quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, (eid,)))
 
-    terminals = frozenset(vertex_map[u] for u, _ in pairs)
-    return ContractedGraph(tuple(range(len(classes))), tuple(quotient_edges), terminals, vertex_map)
+    terminals = frozenset(qid[roots[u]] for u, _ in pairs)
+    return ReducedGraph(tuple(range(len(classes))), terminals, tuple(quotient_edges))
 
 
-def _origin_ids(origin) -> tuple[int, ...]:
-    """Sorted edge ids under an origin: an edge id or a pair of origins."""
-    if not isinstance(origin, tuple):
-        return (origin,)
+def _origin_ids(origin: tuple) -> tuple[int, ...]:
+    """Sorted edge ids under an origin: a leaf, an edge's own sorted ids,
+    is returned as it is; a splice is a pair of origins."""
+    if not isinstance(origin[0], tuple):
+        return origin
     ids: list[int] = []
     stack = [origin]
     while stack:
         o = stack.pop()
-        if isinstance(o, tuple):
+        if isinstance(o[0], tuple):
             stack.extend(o)
         else:
-            ids.append(o)
+            ids += o
     return tuple(sorted(ids))
 
 
-def steiner_preprocess(cg: ContractedGraph) -> ReducedGraph:
+def steiner_preprocess(cg: ReducedGraph) -> ReducedGraph:
     """Strip Steiner leaves, splice degree-2 Steiner vertices, keep cheapest parallels.
 
     Steiner vertices of degree <= 2 leave one at a time, smallest id first,
     from a heap.  A removal never raises a degree (a splice swaps one neighbor
     for another, a dropped parallel or a strip only removes one), so the
     smallest live heap entry is always the smallest eligible vertex and the
-    result is canonical.  A spliced edge keeps its origin as the pair of the
-    two it replaces, sorted into edge ids only at the end or on a weight tie,
-    so a long Steiner chain costs linear time, not quadratic.
+    result is canonical, and preprocessing it again changes nothing.  An
+    input edge's origin is its own sorted ids; a spliced edge's is the pair
+    of the two it replaces, sorted into edge ids only at the end or on a
+    weight tie, so a long Steiner chain costs linear time, not quadratic.
     """
     # vertex -> {neighbor: (weight, origin)}, cheapest parallel only, no loops
-    adj: dict[int, dict[int, tuple[Cost, object]]] = {v: {} for v in cg.vertices}
+    adj: dict[int, dict[int, tuple[Cost, tuple]]] = {v: {} for v in cg.vertices}
 
-    def add(u: int, v: int, w: Cost, origin: object) -> None:
+    def add(u: int, v: int, w: Cost, origin: tuple) -> None:
         if u == v:
             return
         old = adj[u].get(v)
         if old is None or w < old[0] or (w == old[0] and _origin_ids(origin) < _origin_ids(old[1])):
             adj[u][v] = adj[v][u] = (w, origin)
 
-    for u, v, w, eid in cg.edges:
-        add(u, v, w, eid)
+    for u, v, w, origin in cg.edges:
+        add(u, v, w, origin)
     terminals = cg.terminals
     heap = [v for v in adj if v not in terminals and len(adj[v]) <= 2]
     heapq.heapify(heap)

@@ -55,6 +55,18 @@ request 1 2 1
 request 1 3 2
 """
 
+# solves in a millisecond to a tour of 3,999,999,999 steps over 5 distinct ones
+HUGE_DEMAND_TEXT = """\
+scp 1
+n 4
+edge 1 2 1
+edge 2 3 1
+edge 3 4 1
+edge 1 4 1
+request 1 3 2 1000000000
+request 4 2 1 999999999
+"""
+
 
 # --- parsing ---
 
@@ -383,8 +395,9 @@ def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypa
 
 
 def test_sweep_repairs_lambda_zero_first_and_then_only_points_under_the_incumbent(monkeypatch):
-    # the first repair is the relaxation's own class; every later one is of a
-    # point whose base cost is at most the incumbent's total when it is met.
+    # the first repair is the relaxation's own class, the first point priced;
+    # every later one is of a point whose base cost is at most the
+    # incumbent's total when it is met.
     # That total is the least total of the points priced before it, since a
     # point the sweep skips costs at least as much as the incumbent.
     from test_golden import tie_instance
@@ -417,7 +430,7 @@ def test_sweep_repairs_lambda_zero_first_and_then_only_points_under_the_incumben
         report = solve(instance)
         seg = smooth_topology(instance.base, {v for q in instance.requests for v in (q.source, q.target)})
         inner = segment_instance(instance, seg)
-        assert repairs[0] == (0, Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands))
+        assert repairs[0] == (1, Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands))
         assert len(priced) == report.candidates_evaluated
         weights = {}  # support -> repair weight
         totals = []
@@ -1045,14 +1058,43 @@ def test_cli_solve_reports_out_of_memory_without_traceback(ring_file, capsys, mo
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_cli_solve_refuses_a_demand_beyond_an_index_without_traceback(tmp_path, capsys, flags):
-    # a demand above sys.maxsize: writing its tour repeats a run more times
-    # than a list can hold, which raises OverflowError before allocating
+    # a demand above sys.maxsize, whose tour has more steps than a list can
+    # hold: the report step limit refuses it before any step is written
     f = tmp_path / "huge-demand.scp"
     f.write_text("scp 1\nn 2\nedge 1 2 1\nrequest 1 2 1 99999999999999999999\n", encoding="utf-8")
     assert main(["solve", str(f), *flags]) == FAIL
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("solver error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_solve_refuses_a_tour_of_billions_of_steps_at_once(tmp_path, capsys, flags):
+    f = tmp_path / "huge-demand.scp"
+    f.write_text(HUGE_DEMAND_TEXT, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["solve", str(f), *flags]) == FAIL
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+    assert "3999999999" in err and str(cli.MAX_REPORT_STEPS) in err
+
+
+def test_cli_solve_emits_a_tour_of_exactly_the_step_limit(ring_file, capsys, monkeypatch):
+    steps = len(solve(parse_instance(RING_TEXT)).tour.steps)
+    monkeypatch.setattr(cli, "MAX_REPORT_STEPS", steps)
+    assert main(["solve", ring_file, "--json"]) == OK
+    assert len(json.loads(capsys.readouterr().out)["steps"]) == steps
+    monkeypatch.setattr(cli, "MAX_REPORT_STEPS", steps - 1)
+    assert main(["solve", ring_file, "--json"]) == FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and f"{steps} steps" in err
+
+
+def test_repr_of_a_huge_tour_is_run_length():
+    report = solve(parse_instance(HUGE_DEMAND_TEXT))
+    assert len(repr(report)) < 1000
 
 
 def test_cli_oracle_match(ring_file, capsys):

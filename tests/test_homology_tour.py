@@ -18,7 +18,6 @@ from scpsolver.graph_core import BaseGraph, component_roots, cycle_rank, fundame
 from scpsolver.homology_tour import (
     KIND_EDGE,
     KIND_REQUEST,
-    ContractedGraph,
     EulerMultigraph,
     ReducedGraph,
     SteinerSolution,
@@ -76,9 +75,8 @@ def test_contract_split_support():
     cg = contract(inst, g)
     assert cg.vertices == (0, 1)
     assert cg.terminals == frozenset({0, 1})
-    assert cg.vertex_map == {1: 0, 2: 0, 3: 1, 4: 1}
     # the one zero-flow edge survives with doubled weight
-    assert cg.edges == ((0, 1, 10, 1),)
+    assert cg.edges == ((0, 1, 10, (1,)),)
 
 
 def test_contract_keeps_parallel_reconnection_edges():
@@ -86,7 +84,7 @@ def test_contract_keeps_parallel_reconnection_edges():
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
     cg = contract(inst, Circulation((-1, 0, -1, 0), (1, 1)))
     assert cg.terminals == frozenset({0, 1})
-    assert cg.edges == ((0, 1, 4, 1), (0, 1, 8, 3))
+    assert cg.edges == ((0, 1, 4, (1,)), (0, 1, 8, (3,)))
 
 
 def test_contract_untouched_vertices_stay_isolated():
@@ -96,7 +94,7 @@ def test_contract_untouched_vertices_stay_isolated():
     # components: {1,2} then singletons 3 and 4
     assert cg.vertices == (0, 1, 2)
     assert cg.terminals == frozenset({0})
-    assert cg.vertex_map == {1: 0, 2: 0, 3: 1, 4: 2}
+    assert cg.edges == ((0, 1, 2, (1,)), (1, 2, 2, (2,)))
 
 
 class DictUnionFind:
@@ -148,9 +146,9 @@ def reference_contract_support(instance, g):
             continue
         qu, qv = vertex_map[e.u], vertex_map[e.v]
         if qu != qv:
-            quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, eid))
+            quotient_edges.append((min(qu, qv), max(qu, qv), 2 * e.cost, (eid,)))
     terminals = frozenset(vertex_map[v] for v in touched)
-    return ContractedGraph(tuple(range(len(ordered))), tuple(quotient_edges), terminals, vertex_map)
+    return ReducedGraph(tuple(range(len(ordered))), terminals, tuple(quotient_edges))
 
 
 def reference_support_connected(instance, f):
@@ -177,11 +175,7 @@ def test_contraction_matches_dict_union_find_reference():
         basis = basis_of(inst)
         f = min_cost_circulation(inst)
         for g in enumerate_candidates(f, basis, cycle_rank(inst.base)):
-            mine, want = contract(inst, g), reference_contract_support(inst, g)
-            assert mine.vertices == want.vertices
-            assert mine.edges == want.edges
-            assert mine.terminals == want.terminals
-            assert mine.vertex_map == want.vertex_map
+            assert contract(inst, g) == reference_contract_support(inst, g)
             connected = support_connected(inst, g)
             assert connected == reference_support_connected(inst, g)
             checked += 1
@@ -193,31 +187,21 @@ def test_contraction_matches_dict_union_find_reference():
 
 
 def test_preprocess_identity_when_everything_is_terminal():
-    cg = ContractedGraph((0, 1), ((0, 1, 6, 7),), frozenset({0, 1}), {})
+    cg = ReducedGraph((0, 1), frozenset({0, 1}), ((0, 1, 6, (7,)),))
     reduced = steiner_preprocess(cg)
     assert reduced.vertices == (0, 1)
     assert reduced.edges == ((0, 1, 6, (7,)),)
 
 
 def test_preprocess_splices_steiner_chain():
-    cg = ContractedGraph(
-        (0, 1, 2, 3),
-        ((0, 1, 2, 10), (1, 2, 3, 11), (2, 3, 4, 12)),
-        frozenset({0, 3}),
-        {},
-    )
+    cg = ReducedGraph((0, 1, 2, 3), frozenset({0, 3}), ((0, 1, 2, (10,)), (1, 2, 3, (11,)), (2, 3, 4, (12,))))
     reduced = steiner_preprocess(cg)
     assert reduced.vertices == (0, 3)
     assert reduced.edges == ((0, 3, 9, (10, 11, 12)),)
 
 
 def test_preprocess_drops_steiner_leaves_and_isolated():
-    cg = ContractedGraph(
-        (0, 1, 2, 3),
-        ((0, 1, 2, 10), (1, 2, 3, 11)),
-        frozenset({0, 1}),
-        {},
-    )
+    cg = ReducedGraph((0, 1, 2, 3), frozenset({0, 1}), ((0, 1, 2, (10,)), (1, 2, 3, (11,))))
     reduced = steiner_preprocess(cg)
     # 2 is a steiner leaf, 3 is isolated steiner; both vanish
     assert reduced.vertices == (0, 1)
@@ -225,24 +209,14 @@ def test_preprocess_drops_steiner_leaves_and_isolated():
 
 
 def test_preprocess_keeps_cheapest_parallel():
-    cg = ContractedGraph(
-        (0, 1),
-        ((0, 1, 8, 10), (0, 1, 4, 11), (0, 1, 4, 9)),
-        frozenset({0, 1}),
-        {},
-    )
+    cg = ReducedGraph((0, 1), frozenset({0, 1}), ((0, 1, 8, (10,)), (0, 1, 4, (11,)), (0, 1, 4, (9,))))
     reduced = steiner_preprocess(cg)
     assert reduced.edges == ((0, 1, 4, (9,)),)
 
 
 def test_preprocess_keeps_useful_steiner_branch_vertex():
     # steiner hub of degree 3 must survive
-    cg = ContractedGraph(
-        (0, 1, 2, 3),
-        ((0, 3, 1, 10), (1, 3, 1, 11), (2, 3, 1, 12)),
-        frozenset({0, 1, 2}),
-        {},
-    )
+    cg = ReducedGraph((0, 1, 2, 3), frozenset({0, 1, 2}), ((0, 3, 1, (10,)), (1, 3, 1, (11,)), (2, 3, 1, (12,))))
     reduced = steiner_preprocess(cg)
     assert reduced.vertices == (0, 1, 2, 3)
     assert len(reduced.edges) == 3
@@ -251,8 +225,8 @@ def test_preprocess_keeps_useful_steiner_branch_vertex():
 def test_preprocess_long_steiner_chain_is_one_edge():
     # 20,000 Steiner vertices between terminals 0 and 20,001, spliced one by one
     n = 20_000
-    edges = tuple((i, i + 1, 2, i) for i in range(n + 1))
-    reduced = steiner_preprocess(ContractedGraph(tuple(range(n + 2)), edges, frozenset({0, n + 1}), {}))
+    edges = tuple((i, i + 1, 2, (i,)) for i in range(n + 1))
+    reduced = steiner_preprocess(ReducedGraph(tuple(range(n + 2)), frozenset({0, n + 1}), edges))
     assert reduced.vertices == (0, n + 1)
     assert reduced.edges == ((0, n + 1, 2 * (n + 1), tuple(range(n + 1))),)
 
@@ -268,9 +242,16 @@ def random_contracted_graph(rng):
         a, b = rng.randint(0, n - 1), rng.randint(0, n - 1)
         if a != b:
             edges.append((min(a, b), max(a, b)))
-    edges = tuple((u, v, rng.randint(1, 3), eid) for eid, (u, v) in enumerate(edges))
+    edges = tuple((u, v, rng.randint(1, 3), (eid,)) for eid, (u, v) in enumerate(edges))
     terminals = frozenset(v for v in range(n) if rng.randint(0, 2) == 0) or frozenset({0})
-    return ContractedGraph(tuple(range(n)), edges, terminals, {})
+    return ReducedGraph(tuple(range(n)), terminals, edges)
+
+
+def test_preprocess_is_idempotent_on_random_graphs():
+    rng = SplitMix64(31)
+    for _ in range(300):
+        reduced = steiner_preprocess(random_contracted_graph(rng))
+        assert steiner_preprocess(reduced) == reduced
 
 
 def test_preprocess_matches_oracle_on_random_graphs():
@@ -278,7 +259,7 @@ def test_preprocess_matches_oracle_on_random_graphs():
     for _ in range(300):
         cg = random_contracted_graph(rng)
         reduced = steiner_preprocess(cg)
-        weight_of = {eid: w for _, _, w, eid in cg.edges}
+        weight_of = {eid: w for _, _, w, (eid,) in cg.edges}
 
         pairs = [(u, v) for u, v, _, _ in reduced.edges]
         assert all(u < v for u, v in pairs)
@@ -290,11 +271,8 @@ def test_preprocess_matches_oracle_on_random_graphs():
             assert w == sum(weight_of[eid] for eid in origin)
         assert all(d > 2 for v, d in degree.items() if v not in cg.terminals)
 
-        unreduced = ReducedGraph(
-            cg.vertices, cg.terminals, tuple((u, v, w, (eid,)) for u, v, w, eid in cg.edges)
-        )
         try:
-            expected = brute_force_steiner(unreduced, cg.terminals).cost
+            expected = brute_force_steiner(cg, cg.terminals).cost
         except ValueError:
             with pytest.raises(ValueError):
                 min_steiner_tree(reduced, cg.terminals)

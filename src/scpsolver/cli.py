@@ -25,6 +25,10 @@ BAD_INPUT = 2
 # demand would fill memory (10**7 steps are about 0.45 GB of JSON)
 MAX_REPORT_STEPS = 10**7
 
+# the largest gen draw: random_instance builds its tree one vertex at a time
+# and inserts each extra edge into a sorted list, so --n 10**6 takes seconds
+MAX_GEN_N, MAX_GEN_R = 10**6, 10**3
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             instance = parse_instance(_read(args.file))
             report = solve(instance)
-            steps = sum([len(seq) * copies for seq, copies in report.tour.runs])
+            steps = report.tour.length
             if steps > MAX_REPORT_STEPS:
                 print(f"solver error: the tour has {steps} steps, more than a report may list ({MAX_REPORT_STEPS})", file=sys.stderr)
                 return FAIL
@@ -108,8 +112,8 @@ def main(argv: list[str] | None = None) -> int:
             return FAIL
 
         if args.command == "gen":
-            if args.n < 2 or args.r < 0 or args.p < 0 or args.cost_max < 1:
-                print("malformed input: gen needs --n >= 2, --r >= 0, --p >= 0 and --cost-max >= 1", file=sys.stderr)
+            if not (2 <= args.n <= MAX_GEN_N and 0 <= args.r <= MAX_GEN_R and args.p >= 0 and args.cost_max >= 1):
+                print(f"malformed input: gen needs 2 <= --n <= {MAX_GEN_N}, 0 <= --r <= {MAX_GEN_R}, --p >= 0 and --cost-max >= 1", file=sys.stderr)
                 return BAD_INPUT
             instance = random_instance(args.seed, args.n, args.r, args.p, args.cost_max)
             comments = (

@@ -324,7 +324,7 @@ def solve(instance: Instance) -> SolveReport:
         report = solve(Instance(BaseGraph(graph.vertex_count, edges), requests))
         tour = report.tour
         return report._replace(
-            tour=Tour.from_runs(tour.keys, tour.runs, Fraction(tour.total, scale)),
+            tour=Tour(tour.keys, tour.runs, Fraction(tour.total, scale)),
             cost=Fraction(report.cost, scale),
         )
 
@@ -333,7 +333,7 @@ def solve(instance: Instance) -> SolveReport:
     seg = smooth_topology(graph, {v for req in instance.requests for v in (req.source, req.target)})
     r, k = seg.cycle_rank, seg.branch_count
     if p == 0:
-        return SolveReport(Tour((), 0), 0, n, m, p, r, k, 0, ())
+        return SolveReport(Tour(), 0, n, m, p, r, k, 0, ())
 
     tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
@@ -460,4 +460,4 @@ def parse_report(text: str) -> tuple[Cost, Tour]:
     key = itemgetter("kind", "from", "to", "id")
     index = {k: i for i, k in enumerate(dict.fromkeys(map(key, steps)))}
     walk = tuple(map(index.__getitem__, map(key, steps)))
-    return cost, Tour.from_runs(tuple(index), ((walk, 1),) if walk else (), cost)
+    return cost, Tour(tuple(index), ((walk, 1),) if walk else (), cost)

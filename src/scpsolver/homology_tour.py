@@ -9,10 +9,10 @@ subsets of the few branch vertices that survive preprocessing.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat, starmap
-from operator import attrgetter
+from itertools import chain, combinations, compress, repeat
+from operator import eq
 from typing import NamedTuple
 
 from .circulation import Circulation, Instance, support_pairs
@@ -40,18 +40,9 @@ class SteinerSolution(NamedTuple):
     weight: Cost
 
 
-class Step(NamedTuple):
-    kind: str  # "request" or "edge"
-    source: int
-    target: int
-    ref: int  # arc_id or edge_id
-
-
-StepKey = tuple[str, int, int, int]  # a Step's fields: (kind, source, target, ref)
+StepKey = tuple[str, int, int, int]  # (kind, source, target, ref): ref is an arc_id or edge_id
 Run = tuple[Sequence[int], int]  # (indices into Tour.keys, copies)
 Arc = tuple[int, int, str, int, Cost]  # (tail, head, kind, ref, cost)
-
-_step_key = attrgetter("kind", "source", "target", "ref")
 
 
 class Tour:
@@ -61,47 +52,39 @@ class Tour:
     walk as (indices into keys, copies) pairs: each run's steps repeated
     copies times, run after run.  euler_tour and parse_report list each
     distinct step once, so a tour of many traversals over few distinct arcs
-    stays small.  ``steps`` spells the walk out, one Step per traversal with
-    one shared Step object per key; it is derived on first read.
-    ``Tour(steps, total)`` takes the steps flat, one key per step, and
-    ``Tour.from_runs`` takes keys and runs.  Two tours are equal when their
-    steps and totals are.
+    stays small.  ``walk()`` yields the steps one by one and ``length``
+    counts them; neither spells the walk out.  Two tours are equal when
+    their totals and walks are: equal keys and runs decide at once, other
+    runs are walked side by side until they differ.
     """
 
-    __slots__ = ("keys", "runs", "total", "_steps")
+    __slots__ = ("keys", "runs", "total")
 
-    def __init__(self, steps: Iterable[Step] = (), total: Cost = 0):
-        self._steps: tuple[Step, ...] | None = tuple(steps)
-        self.keys: Sequence[StepKey] = tuple(map(_step_key, self._steps))
-        self.runs: Sequence[Run] = ((range(len(self.keys)), 1),) if self.keys else ()
-        self.total = total
+    def __init__(self, keys: Sequence[StepKey] = (), runs: Sequence[Run] = (), total: Cost = 0):
+        self.keys, self.runs, self.total = keys, runs, total
 
-    @classmethod
-    def from_runs(cls, keys: Sequence[StepKey], runs: Sequence[Run], total: Cost) -> Tour:
-        tour = cls.__new__(cls)
-        tour.keys, tour.runs, tour.total, tour._steps = keys, runs, total, None
-        return tour
+    def walk(self) -> Iterator[StepKey]:
+        step = self.keys.__getitem__
+        for seq, copies in self.runs:
+            for _ in range(copies):
+                yield from map(step, seq)
 
     @property
-    def steps(self) -> tuple[Step, ...]:
-        if self._steps is None:
-            made = list(starmap(Step, self.keys))
-            flat: list[Step] = []
-            for seq, copies in self.runs:
-                flat += list(map(made.__getitem__, seq)) * copies
-            self._steps = tuple(flat)
-        return self._steps
+    def length(self) -> int:
+        return sum([len(seq) * copies for seq, copies in self.runs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tour):
             return NotImplemented
-        return (self.steps, self.total) == (other.steps, other.total)
+        if (self.total, self.length) != (other.total, other.length):
+            return False
+        return (self.keys, self.runs) == (other.keys, other.runs) or all(map(eq, self.walk(), other.walk()))
 
     def __hash__(self) -> int:
-        return hash((self.steps, self.total))
+        return hash((self.total, self.length))
 
-    def __repr__(self) -> str:  # run-length, as steps may not fit in memory
-        return f"Tour.from_runs(keys={self.keys!r}, runs={self.runs!r}, total={self.total!r})"
+    def __repr__(self) -> str:
+        return f"Tour(keys={self.keys!r}, runs={self.runs!r}, total={self.total!r})"
 
 
 class EulerMultigraph:
@@ -368,7 +351,7 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
     """
     counts = mg.counts
     if not counts:
-        return Tour((), 0)
+        return Tour()
     # distinct arcs ascending by (tail, target, kind, ref), requests first
     arcs = sorted(counts, key=lambda a: (a[0], a[1], a[2] != KIND_REQUEST, a[3]))
     left = list(map(counts.__getitem__, arcs))  # unused copies per distinct arc
@@ -446,5 +429,5 @@ def euler_tour(mg: EulerMultigraph) -> Tour:
         raise RuntimeError("euler multigraph is disconnected")
     popped.reverse()  # runs leave the stack in reverse circuit order
     total = sum([sum(map(cost.__getitem__, seq)) * copies for seq, copies in popped])
-    return Tour.from_runs(list(zip(kind, tail, head, ref)), popped, total)
+    return Tour(list(zip(kind, tail, head, ref)), popped, total)
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .circulation import Circulation, Instance, Request, circulation_cost, support_pairs
 from .graph_core import BaseGraph, Cost, CycleBasis, component_roots, rooted_tree
-from .homology_tour import KIND_EDGE, KIND_REQUEST, ReducedGraph, Step, Tour, build_euler_multigraph, connectivity_repair, euler_tour
+from .homology_tour import KIND_EDGE, KIND_REQUEST, ReducedGraph, StepKey, Tour, build_euler_multigraph, connectivity_repair, euler_tour
 
 _MASK64 = (1 << 64) - 1
 
@@ -221,7 +221,7 @@ def brute_force_tour(instance: Instance) -> OracleResult:
     if total_demand > 8:
         raise ValueError("instance too large for oracle")
     if total_demand == 0:
-        return OracleResult(0, Tour((), 0), 0)
+        return OracleResult(0, Tour(), 0)
 
     copies: list[tuple[Request, int]] = []
     for aid, r in enumerate(instance.requests):
@@ -251,14 +251,14 @@ def brute_force_tour(instance: Instance) -> OracleResult:
     for eid, e in enumerate(instance.base.edges):
         pair_to_edge[(e.u, e.v)] = eid
         pair_to_edge[(e.v, e.u)] = eid
-    steps: list[Step] = []
+    steps: list[StepKey] = []
     for i, (r, aid) in enumerate(best_order):
-        steps.append(Step(KIND_REQUEST, r.source, r.target, aid))
+        steps.append((KIND_REQUEST, r.source, r.target, aid))
         nxt = best_order[(i + 1) % len(best_order)][0]
         path = sp(r.target, nxt.source)[1]
         for x, y in zip(path, path[1:]):
-            steps.append(Step(KIND_EDGE, x, y, pair_to_edge[(x, y)]))
-    tour = Tour(tuple(steps), best_cost)
+            steps.append((KIND_EDGE, x, y, pair_to_edge[(x, y)]))
+    tour = Tour(steps, ((range(len(steps)), 1),), best_cost)
     return OracleResult(best_cost, tour, count)
 
 
@@ -354,9 +354,11 @@ def brute_force_steiner(graph: ReducedGraph, terminals: frozenset[int]) -> Oracl
 
 
 def verify_tour(instance: Instance, tour: Tour) -> TourCheck:
-    """Replay a tour against the instance, recomputing cost and class."""
+    """Replay every step of a tour against the instance, recomputing cost and class."""
     graph = instance.base
-    if not tour.steps:
+    steps = tour.walk()
+    first = next(steps, None)
+    if first is None:
         if instance.requests:
             return TourCheck(False, "empty tour but requests exist", None, None)
         if tour.total != 0:
@@ -367,31 +369,32 @@ def verify_tour(instance: Instance, tour: Tour) -> TourCheck:
     edge_flow = [0] * len(graph.edges)
     arc_count = [0] * len(instance.requests)
     cost: Cost = 0
-    for i, step in enumerate(tour.steps):
-        nxt = tour.steps[(i + 1) % len(tour.steps)]
-        if step.target != nxt.source:
+    kind, source, target, ref = first
+    for i, nxt in enumerate(itertools.chain(steps, (first,))):
+        if target != nxt[1]:  # the next step's source
             return TourCheck(False, f"step {i} does not chain", None, None)
-        if step.kind == KIND_REQUEST:
-            if not (0 <= step.ref < len(instance.requests)):
+        if kind == KIND_REQUEST:
+            if not (0 <= ref < len(instance.requests)):
                 return TourCheck(False, f"step {i}: unknown arc id", None, None)
-            r = instance.requests[step.ref]
-            if (step.source, step.target) != (r.source, r.target):
+            r = instance.requests[ref]
+            if (source, target) != (r.source, r.target):
                 return TourCheck(False, f"step {i}: arc endpoints wrong", None, None)
-            arc_count[step.ref] += 1
+            arc_count[ref] += 1
             cost += r.cost
-        elif step.kind == KIND_EDGE:
-            if not (0 <= step.ref < len(graph.edges)):
+        elif kind == KIND_EDGE:
+            if not (0 <= ref < len(graph.edges)):
                 return TourCheck(False, f"step {i}: unknown edge id", None, None)
-            e = graph.edges[step.ref]
-            if (step.source, step.target) == (e.u, e.v):
-                edge_flow[step.ref] += 1
-            elif (step.source, step.target) == (e.v, e.u):
-                edge_flow[step.ref] -= 1
+            e = graph.edges[ref]
+            if (source, target) == (e.u, e.v):
+                edge_flow[ref] += 1
+            elif (source, target) == (e.v, e.u):
+                edge_flow[ref] -= 1
             else:
                 return TourCheck(False, f"step {i}: edge endpoints wrong", None, None)
             cost += e.cost
         else:
             return TourCheck(False, f"step {i}: unknown step kind", None, None)
+        kind, source, target, ref = nxt
 
     for aid, r in enumerate(instance.requests):
         if arc_count[aid] != r.demand:

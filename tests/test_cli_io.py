@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -299,13 +300,13 @@ def test_solve_path_frozen():
     assert report.cost == 6
     assert report.candidates_evaluated == 1
     assert report.winning_lambda == ()
-    assert len(report.tour.steps) == 5
+    assert report.tour.length == 5
 
 
 def test_solve_no_requests():
     report = solve(parse_instance("scp 1\nn 2\nedge 1 2 1\n"))
     assert report.cost == 0
-    assert report.tour.steps == ()
+    assert list(report.tour.walk()) == []
     assert report.candidates_evaluated == 0
 
 
@@ -598,17 +599,17 @@ def bulk_case():
 def reference_step_lines(report):
     """The text report's step lines, formatted once per step."""
     lines = []
-    for s in report.tour.steps:
-        label = "arc" if s.kind == "request" else "edge"
-        lines.append(f"  {s.kind} {s.source} -> {s.target} [{label} {s.ref}]")
+    for kind, source, target, ref in report.tour.walk():
+        label = "arc" if kind == "request" else "edge"
+        lines.append(f"  {kind} {source} -> {target} [{label} {ref}]")
     return lines
 
 
 def reference_json_steps(report):
     """The JSON report's steps array body, formatted once per step."""
     return ",".join(
-        '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (s.source, s.ref, encode_basestring_ascii(s.kind), s.target)
-        for s in report.tour.steps
+        '{"from":%d,"id":%d,"kind":%s,"to":%d}' % (source, ref, encode_basestring_ascii(kind), target)
+        for kind, source, target, ref in report.tour.walk()
     )
 
 
@@ -679,7 +680,7 @@ def test_solve_scales_fraction_and_float_costs_to_one_integer_instance():
 
 def test_text_report_step_lines_match_per_step_formatting(bulk_case, rendered_reports):
     _, bulk = bulk_case
-    assert len(bulk.tour.steps) == 200_000
+    assert bulk.tour.length == 200_000
     for report in rendered_reports:
         assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
 
@@ -689,13 +690,14 @@ def test_json_report_steps_match_per_step_formatting(rendered_reports):
         text = emit_report(report, "json")
         assert json_steps(text) == reference_json_steps(report)
         assert json.loads(text)["steps"] == [
-            {"from": s.source, "id": s.ref, "kind": s.kind, "to": s.target} for s in report.tour.steps
+            {"from": source, "id": ref, "kind": kind, "to": target} for kind, source, target, ref in report.tour.walk()
         ]
 
 
 def test_reports_of_flat_tours_match_per_step_formatting(rendered_reports):
     for report in rendered_reports[1:]:
-        report = report._replace(tour=Tour(report.tour.steps, report.tour.total))
+        keys = list(report.tour.walk())
+        report = report._replace(tour=Tour(keys, ((range(len(keys)), 1),), report.tour.total))
         assert json_steps(emit_report(report, "json")) == reference_json_steps(report)
         assert step_lines(emit_report(report, "text")) == reference_step_lines(report)
 
@@ -710,7 +712,7 @@ def test_parse_report_roundtrips_cost_and_steps():
     report = solve(inst)
     cost, tour = parse_report(emit_report(report, "json"))
     assert cost == report.cost
-    assert tour.steps == report.tour.steps
+    assert list(tour.walk()) == list(report.tour.walk())
 
 
 def test_parse_report_shares_one_step_per_distinct_step(bulk_case):
@@ -718,7 +720,7 @@ def test_parse_report_shares_one_step_per_distinct_step(bulk_case):
     cost, tour = parse_report(emit_report(report, "json"))
     assert cost == report.cost
     assert tour == report.tour
-    assert len({id(s) for s in tour.steps}) == len(set(tour.steps)) == 2
+    assert len(tour.keys) == 2
     check = verify_tour(inst, tour)
     assert check.valid and check.cost == cost
 
@@ -1082,7 +1084,7 @@ def test_cli_solve_refuses_a_tour_of_billions_of_steps_at_once(tmp_path, capsys,
 
 
 def test_cli_solve_emits_a_tour_of_exactly_the_step_limit(ring_file, capsys, monkeypatch):
-    steps = len(solve(parse_instance(RING_TEXT)).tour.steps)
+    steps = solve(parse_instance(RING_TEXT)).tour.length
     monkeypatch.setattr(cli, "MAX_REPORT_STEPS", steps)
     assert main(["solve", ring_file, "--json"]) == OK
     assert len(json.loads(capsys.readouterr().out)["steps"]) == steps
@@ -1095,6 +1097,41 @@ def test_cli_solve_emits_a_tour_of_exactly_the_step_limit(ring_file, capsys, mon
 def test_repr_of_a_huge_tour_is_run_length():
     report = solve(parse_instance(HUGE_DEMAND_TEXT))
     assert len(repr(report)) < 1000
+
+
+def test_tours_of_billions_of_steps_compare_and_hash_without_spelling_them_out():
+    a, b = (solve(parse_instance(HUGE_DEMAND_TEXT)).tour for _ in range(2))
+    assert a is not b and a.length == 3_999_999_999
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert a == b and hash(a) == hash(b)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 1 << 20
+    # the first step's ref changed and nothing else: same total, same length
+    first = next(a.walk())
+    keys = [*a.keys, first[:3] + (first[3] + 1,)]
+    (seq, copies), *rest = a.runs
+    other = Tour(keys, [([len(keys) - 1, *seq[1:]], 1), (seq, copies - 1), *rest], a.total)
+    assert other.length == a.length and other.total == a.total
+    assert other != a and a != other
+
+
+def test_verify_tour_replays_a_parsed_report_without_spelling_it_out(bulk_case):
+    inst, report = bulk_case
+    cost, tour = parse_report(emit_report(report, "json"))
+    assert tour.length == 200_000
+    tracemalloc.start()
+    try:
+        check = verify_tour(inst, tour)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.valid and check.cost == cost
+    assert peak < 1 << 20
 
 
 def test_cli_oracle_match(ring_file, capsys):
@@ -1210,7 +1247,10 @@ def test_cli_gen_env_seed_wins(monkeypatch, capsys):
     assert capsys.readouterr().out != with_env
 
 
-@pytest.mark.parametrize("flags", [["--n", "1"], ["--cost-max", "0"], ["--r", "-1"], ["--p", "-1"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "1"], ["--cost-max", "0"], ["--r", "-1"], ["--p", "-1"], ["--n", "1000001"], ["--n", "99999999999999999999"], ["--r", "1001"]],
+)
 def test_cli_gen_rejects_out_of_range_flags(flags, capsys):
     assert main(["gen", *flags]) == BAD_INPUT
     captured = capsys.readouterr()

@@ -21,7 +21,6 @@ from scpsolver.homology_tour import (
     EulerMultigraph,
     ReducedGraph,
     SteinerSolution,
-    Step,
     Tour,
     build_euler_multigraph,
     connectivity_repair,
@@ -643,7 +642,7 @@ def test_euler_multigraph_merges_a_steiner_edge_that_carries_flow():
 def test_euler_tour_of_nothing_is_empty():
     from scpsolver.homology_tour import EulerMultigraph, Tour
 
-    assert euler_tour(EulerMultigraph(Counter())) == Tour((), 0)
+    assert euler_tour(EulerMultigraph(Counter())) == Tour()
 
 
 def test_euler_tour_starts_low_and_is_deterministic():
@@ -652,8 +651,9 @@ def test_euler_tour_starts_low_and_is_deterministic():
     t1 = euler_tour(mg)
     t2 = euler_tour(mg)
     assert t1 == t2
-    assert t1.steps[0].source == 1
-    assert t1.steps[0].kind == KIND_REQUEST
+    kind, source, _, _ = next(t1.walk())
+    assert source == 1
+    assert kind == KIND_REQUEST
 
 
 def test_tour_in_class_split_path_frozen():
@@ -705,7 +705,7 @@ def test_tours_valid_across_random_candidates():
 def unit_euler_tour(mg):
     """Hierholzer one traversal at a time: euler_tour before the run-length walk."""
     if not mg.arcs:
-        return Tour((), 0)
+        return Tour()
     kind_rank = {KIND_REQUEST: 0, KIND_EDGE: 1}
     out = {}
     for idx, (tail, head, kind, ref, _) in enumerate(mg.arcs):
@@ -731,8 +731,8 @@ def unit_euler_tour(mg):
     circuit.reverse()
     if len(circuit) != len(mg.arcs):
         raise RuntimeError("euler multigraph is disconnected")
-    steps = tuple(Step(mg.arcs[i][2], mg.arcs[i][0], mg.arcs[i][1], mg.arcs[i][3]) for i in circuit)
-    return Tour(steps, sum(mg.arcs[i][4] for i in circuit))
+    keys = [(mg.arcs[i][2], mg.arcs[i][0], mg.arcs[i][1], mg.arcs[i][3]) for i in circuit]
+    return Tour(keys, ((range(len(keys)), 1),), sum(mg.arcs[i][4] for i in circuit))
 
 
 def random_eulerian_arcs(rng, tenths=False):
@@ -764,7 +764,7 @@ def random_eulerian_arcs(rng, tenths=False):
 
 
 def step_fields(tour):
-    return [(s.kind, s.source, s.target, s.ref) for s in tour.steps]
+    return list(tour.walk())
 
 
 def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
@@ -786,7 +786,7 @@ def test_run_length_tour_matches_unit_walk_on_random_multigraphs():
         assert step_fields(got) == step_fields(want), mg.arcs
         assert got.total == want.total and type(got.total) is type(want.total)
         assert got == want
-        assert sum(len(seq) * copies for seq, copies in got.runs) == len(arcs)
+        assert got.length == sum(len(seq) * copies for seq, copies in got.runs) == len(arcs)
     assert 50 < disconnected < 1000, disconnected
 
 
@@ -803,9 +803,9 @@ def test_run_length_tour_of_repeated_triangle_repeats_one_cycle():
     mg = EulerMultigraph(Counter(arc for arc in cycle for _ in range(1000)))
     tour = euler_tour(mg)
     assert step_fields(tour) == step_fields(unit_euler_tour(mg))
-    assert len(tour.steps) == 3000 and tour.total == 5000
-    # one Step object per distinct arc
-    assert len({id(s) for s in tour.steps}) == 3
+    assert tour.length == 3000 and tour.total == 5000
+    # one key per distinct arc
+    assert len(tour.keys) == 3
 
 
 def test_single_request_of_demand_100000_solves():
@@ -814,7 +814,7 @@ def test_single_request_of_demand_100000_solves():
     report = solve(inst)
     # each unit: the request, then back 3 -> 2 -> 1 at cost 3
     assert report.cost == 600_000
-    assert len(report.tour.steps) == 300_000
+    assert report.tour.length == 300_000
     assert report.tour.total == report.cost
     check = verify_tour(inst, report.tour)
     assert check.valid and check.cost == report.cost
@@ -859,17 +859,19 @@ def test_euler_multigraph_counts_match_per_copy_arcs():
     assert checked > 100, checked
 
 
-def test_tour_from_runs_equals_its_flat_steps():
+def test_runs_tour_equals_its_spelled_out_one_run_tour():
     inst, g = split_path_instance()
     tour = euler_tour(build_euler_multigraph(inst, g, SteinerSolution(frozenset({1}), 10)))
-    flat = Tour(tour.steps, tour.total)
-    assert flat == tour and hash(flat) == hash(tour)
-    assert flat.steps is tour.steps  # flat steps are kept as given
-    assert len(flat.keys) == len(flat.steps) and flat.runs == ((range(len(flat.steps)), 1),)
-    assert Tour(tour.steps, tour.total + 1) != tour
-    assert Tour((), 0).runs == () and Tour((), 0).steps == ()
-    # steps spell the runs out, one shared Step per key
-    runs = Tour.from_runs((("request", 1, 2, 0), ("edge", 2, 1, 0)), (((0, 1), 3), ((0,), 1)), 7)
-    assert [(s.kind, s.source) for s in runs.steps] == [("request", 1), ("edge", 2)] * 3 + [("request", 1)]
-    assert len({id(s) for s in runs.steps}) == 2
-    assert runs.steps is runs.steps
+    keys = list(tour.walk())
+    flat = Tour(keys, ((range(len(keys)), 1),), tour.total)
+    assert flat == tour and tour == flat and hash(flat) == hash(tour)
+    assert flat.length == tour.length == len(keys)
+    assert Tour(keys, ((range(len(keys)), 1),), tour.total + 1) != tour
+    assert Tour().runs == () and list(Tour().walk()) == [] and Tour().length == 0
+    # walk spells the runs out, run after run
+    runs = Tour((("request", 1, 2, 0), ("edge", 2, 1, 0)), (((0, 1), 3), ((0,), 1)), 7)
+    assert [(kind, source) for kind, source, _, _ in runs.walk()] == [("request", 1), ("edge", 2)] * 3 + [("request", 1)]
+    assert runs.length == 7
+    # equal walks are equal tours, however their runs split them
+    keys = (("request", 1, 2, 0), ("edge", 2, 1, 0))
+    assert Tour(keys, (((0, 1), 2),), 7) == Tour(keys, (((0, 1), 1), ((0,), 1), ((1,), 1)), 7)

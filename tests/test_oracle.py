@@ -5,7 +5,7 @@ import pytest
 from scpsolver.acceptance import decompose, is_elementary
 from scpsolver.circulation import Circulation, Instance, Request, circulation_cost
 from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
-from scpsolver.homology_tour import KIND_EDGE, KIND_REQUEST, Step, Tour
+from scpsolver.homology_tour import KIND_EDGE, KIND_REQUEST, Tour
 from scpsolver.oracle import (
     SplitMix64,
     brute_force_circulation,
@@ -80,7 +80,7 @@ def test_tour_oracle_no_requests():
     g = BaseGraph.from_edges(2, [(1, 2, 1)])
     res = brute_force_tour(Instance(g, ()))
     assert res.cost == 0
-    assert res.witness == Tour((), 0)
+    assert res.witness == Tour()
 
 
 def test_tour_oracle_counts_demand_copies():
@@ -183,6 +183,11 @@ def test_steiner_oracle_validates_terminals():
 # --- tour verification ---
 
 
+def _tour(keys, total):
+    """A tour that walks ``keys`` once, in one run."""
+    return Tour(keys, ((range(len(keys)), 1),), total)
+
+
 def _one_request_instance():
     g = BaseGraph.from_edges(2, [(1, 2, 2)])
     return Instance(g, (Request(1, 2, 5),))
@@ -190,7 +195,7 @@ def _one_request_instance():
 
 def test_verify_accepts_the_obvious_tour():
     inst = _one_request_instance()
-    tour = Tour((Step(KIND_REQUEST, 1, 2, 0), Step(KIND_EDGE, 2, 1, 0)), 7)
+    tour = _tour(((KIND_REQUEST, 1, 2, 0), (KIND_EDGE, 2, 1, 0)), 7)
     check = verify_tour(inst, tour)
     assert check.valid
     assert check.cost == 7
@@ -199,7 +204,7 @@ def test_verify_accepts_the_obvious_tour():
 
 def test_verify_rejects_broken_chain():
     inst = _one_request_instance()
-    tour = Tour((Step(KIND_REQUEST, 1, 2, 0), Step(KIND_EDGE, 1, 2, 0)), 7)
+    tour = _tour(((KIND_REQUEST, 1, 2, 0), (KIND_EDGE, 1, 2, 0)), 7)
     check = verify_tour(inst, tour)
     assert not check.valid and "chain" in check.reason
 
@@ -207,33 +212,33 @@ def test_verify_rejects_broken_chain():
 def test_verify_rejects_wrong_traversal_count():
     g = BaseGraph.from_edges(2, [(1, 2, 2)])
     inst = Instance(g, (Request(1, 2, 5, 2),))
-    tour = Tour((Step(KIND_REQUEST, 1, 2, 0), Step(KIND_EDGE, 2, 1, 0)), 7)
+    tour = _tour(((KIND_REQUEST, 1, 2, 0), (KIND_EDGE, 2, 1, 0)), 7)
     check = verify_tour(inst, tour)
     assert not check.valid and "traversed" in check.reason
 
 
 def test_verify_rejects_wrong_total():
     inst = _one_request_instance()
-    tour = Tour((Step(KIND_REQUEST, 1, 2, 0), Step(KIND_EDGE, 2, 1, 0)), 8)
+    tour = _tour(((KIND_REQUEST, 1, 2, 0), (KIND_EDGE, 2, 1, 0)), 8)
     check = verify_tour(inst, tour)
     assert not check.valid and "total" in check.reason
 
 
 def test_verify_rejects_unknown_refs_and_endpoints():
     inst = _one_request_instance()
-    bad_ref = Tour((Step(KIND_REQUEST, 1, 2, 3), Step(KIND_EDGE, 2, 1, 0)), 7)
+    bad_ref = _tour(((KIND_REQUEST, 1, 2, 3), (KIND_EDGE, 2, 1, 0)), 7)
     assert not verify_tour(inst, bad_ref).valid
-    bad_edge = Tour((Step(KIND_REQUEST, 1, 2, 0), Step(KIND_EDGE, 2, 1, 5)), 7)
+    bad_edge = _tour(((KIND_REQUEST, 1, 2, 0), (KIND_EDGE, 2, 1, 5)), 7)
     assert not verify_tour(inst, bad_edge).valid
-    bad_kind = Tour((Step("walk", 1, 2, 0), Step(KIND_EDGE, 2, 1, 0)), 7)
+    bad_kind = _tour((("walk", 1, 2, 0), (KIND_EDGE, 2, 1, 0)), 7)
     assert not verify_tour(inst, bad_kind).valid
 
 
 def test_verify_empty_tours():
     g = BaseGraph.from_edges(2, [(1, 2, 1)])
-    assert verify_tour(Instance(g, ()), Tour((), 0)).valid
-    assert not verify_tour(Instance(g, ()), Tour((), 3)).valid
-    assert not verify_tour(_one_request_instance(), Tour((), 0)).valid
+    assert verify_tour(Instance(g, ()), Tour()).valid
+    assert not verify_tour(Instance(g, ()), Tour(total=3)).valid
+    assert not verify_tour(_one_request_instance(), Tour()).valid
 
 
 # --- tight family ---

@@ -82,11 +82,8 @@ def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
             record("relaxation", True, s)
             record("decomposition", True, s)
         else:
-            diff = Circulation(
-                tuple(a - b for a, b in zip(theirs.circulation.edge_flow, f.edge_flow)),
-                (0,) * p,
-            )
-            linf = max((abs(x) for x in diff.edge_flow), default=0)
+            diff = tuple(a - b for a, b in zip(theirs.circulation, f))
+            linf = max((abs(x) for x in diff), default=0)
             record("proximity", is_elementary(graph, diff) and linf <= r, s)
 
             fc = circulation_cost(inst, f)
@@ -105,7 +102,7 @@ def run_acceptance(seed: int, count: int) -> AcceptanceSummary:
                     rebuilt[eid] += value * sign
             record(
                 "decomposition",
-                len(parts) <= r and tuple(rebuilt) == diff.edge_flow,
+                len(parts) <= r and tuple(rebuilt) == diff,
                 s,
             )
 
@@ -128,11 +125,11 @@ def decompose(graph: BaseGraph, f: Circulation) -> list[tuple[int, dict[int, int
     """Split edge flows into at most cycle_rank(supp) unit cycle flows.
 
     Returns (value, cycle) pairs where cycle maps edge_id -> +1/-1 and the
-    weighted cycles sum back to the input exactly.  Arc flows are ignored.
+    weighted cycles sum back to the input exactly.
     """
-    if not edge_flow_conserves(graph, f.edge_flow):
+    if not edge_flow_conserves(graph, f):
         raise ValueError("edge flows do not conserve")
-    flows = list(f.edge_flow)
+    flows = list(f)
     parts: list[tuple[int, dict[int, int]]] = []
     while True:
         out: dict[int, list[tuple[int, int]]] = {}
@@ -177,7 +174,7 @@ def is_elementary(graph: BaseGraph, f: Circulation) -> bool:
     elementary means that digraph is acyclic.
     """
     out: dict[int, list[int]] = {}
-    for eid, val in enumerate(f.edge_flow):
+    for eid, val in enumerate(f):
         if abs(val) < 2:
             continue
         e = graph.edges[eid]

@@ -1,9 +1,11 @@
 """Integer circulations on a base graph with fixed request arcs.
 
-A circulation assigns an integer flow to every edge (signed, relative to the
-edge's forward orientation) and to every request arc.  Feasible circulations
-pin each arc flow to its demand, so optimizing over them relaxes the tour
-problem: connectivity is ignored.
+A circulation is a tuple of integer edge flows indexed by edge id, each
+signed relative to the edge's forward orientation.  Every request arc
+carries exactly its demand, so the arcs need no flows of their own: a
+circulation is feasible when the edge flows balance the demands at every
+vertex.  Optimizing over feasible circulations relaxes the tour problem:
+connectivity is ignored.
 """
 
 from __future__ import annotations
@@ -66,28 +68,12 @@ class Instance(FrozenRecord):
         return tuple(map(itemgetter(2), self.requests))
 
     @cached_property
-    def demands(self) -> tuple[int, ...]:
-        """Request demands indexed by arc_id: the arc flows of every feasible
-        circulation.  ``min_cost_circulation`` returns this very tuple."""
-        return tuple(map(itemgetter(3), self.requests))
-
-    @cached_property
     def demand_cost(self) -> Cost:
         """Demand times request cost over the arcs, added left to right from 0."""
-        return sum(map(mul, self.demands, self.arc_costs))
+        return sum(map(mul, map(itemgetter(3), self.requests), self.arc_costs))
 
 
-class Circulation(NamedTuple):
-    """Edge and arc flows, indexed by edge_id and arc_id (request position).
-
-    An immutable value that compares and hashes by its two flow tuples.  It
-    is a named tuple because the sweep builds one per box point:
-    ``tuple.__new__(Circulation, (edge_flow, arc_flow))`` runs no
-    Python-level constructor.
-    """
-
-    edge_flow: tuple[int, ...]
-    arc_flow: tuple[int, ...]
+Circulation = tuple[int, ...]  # edge flows indexed by edge_id
 
 
 def segment_instance(instance: Instance, seg: SegmentGraph) -> Instance:
@@ -102,37 +88,22 @@ def segment_instance(instance: Instance, seg: SegmentGraph) -> Instance:
 
 
 def circulation_cost(instance: Instance, f: Circulation) -> Cost:
-    """Arc flow times request cost over the arcs, then |edge flow| times edge
-    cost over the edges, added left to right from 0.
-
-    Both sums run at C level.  The sweep prices every box point, and every
-    candidate carries the instance's own ``demands`` tuple as its arc flows,
-    so when ``f.arc_flow is instance.demands`` the arc sum is the cached
-    ``demand_cost`` and only the m edge terms are added per call.  The test
-    is identity, not equality: it is O(1), and a value-equal arc flow of
-    another tuple (floats, say) is summed as before, so the type of the
-    total cannot change.  Costs are exact, so the total does not depend on
-    the order of the terms.
-    """
-    arc_flow = f.arc_flow
-    if arc_flow is instance.demands:
-        arcs = instance.demand_cost
-    else:
-        arcs = sum(map(mul, arc_flow, instance.arc_costs))
-    return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
+    """The cached ``demand_cost``, then |edge flow| times edge cost over the
+    edges, added left to right at C level."""
+    return sum(map(mul, map(abs, f), instance.base.edge_costs), instance.demand_cost)
 
 
 def support_pairs(instance: Instance, f: Circulation) -> list[tuple[int, int]]:
-    """Endpoints of every edge, then every request arc, with nonzero flow."""
-    pairs = [(e.u, e.v) for e, val in zip(instance.base.edges, f.edge_flow) if val]
-    pairs += [(r.source, r.target) for r, val in zip(instance.requests, f.arc_flow) if val]
+    """Endpoints of every edge with nonzero flow, then of every request arc."""
+    pairs = [(e.u, e.v) for e, val in zip(instance.base.edges, f) if val]
+    pairs += [(r.source, r.target) for r in instance.requests]
     return pairs
 
 
 def min_cost_circulation(instance: Instance) -> Circulation:
     """Cheapest feasible circulation; connectivity deliberately ignored.
 
-    With arc flows pinned at the demands and edges uncapacitated, only edge
+    With every request arc at its demand and edges uncapacitated, only edge
     flows move, and they form a transshipment: every request target holds
     its demand as excess, every request source as deficit, and the edges
     must carry it back.  Successive shortest paths (Ahuja, Magnanti & Orlin,
@@ -217,4 +188,4 @@ def min_cost_circulation(instance: Instance) -> Circulation:
         excess[v] -= delta
         excess[sink] += delta
         sources = [v for v in sources if excess[v] > 0]
-    return Circulation(tuple(flows), instance.demands)
+    return tuple(flows)

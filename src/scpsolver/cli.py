@@ -25,9 +25,10 @@ BAD_INPUT = 2
 # demand would fill memory (10**7 steps are about 0.45 GB of JSON)
 MAX_REPORT_STEPS = 10**7
 
-# the largest gen draw: random_instance builds its tree one vertex at a time
-# and inserts each extra edge into a sorted list, so --n 10**6 takes seconds
-MAX_GEN_N, MAX_GEN_R = 10**6, 10**3
+# the largest gen draw: random_instance builds its tree one vertex at a time,
+# inserts each extra edge into a sorted list and draws requests one at a
+# time, so --n 10**6 takes seconds and --p 10**6 about one
+MAX_GEN_N, MAX_GEN_R, MAX_GEN_P = 10**6, 10**3, 10**6
 
 
 def _read(path: str) -> str:
@@ -112,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
             return FAIL
 
         if args.command == "gen":
-            if not (2 <= args.n <= MAX_GEN_N and 0 <= args.r <= MAX_GEN_R and args.p >= 0 and args.cost_max >= 1):
-                print(f"malformed input: gen needs 2 <= --n <= {MAX_GEN_N}, 0 <= --r <= {MAX_GEN_R}, --p >= 0 and --cost-max >= 1", file=sys.stderr)
+            if not (2 <= args.n <= MAX_GEN_N and 0 <= args.r <= MAX_GEN_R and 0 <= args.p <= MAX_GEN_P and args.cost_max >= 1):
+                print(f"malformed input: gen needs 2 <= --n <= {MAX_GEN_N}, 0 <= --r <= {MAX_GEN_R}, 0 <= --p <= {MAX_GEN_P} and --cost-max >= 1", file=sys.stderr)
                 return BAD_INPUT
             instance = random_instance(args.seed, args.n, args.r, args.p, args.cost_max)
             comments = (

@@ -19,7 +19,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .circulation import (
-    Circulation,
     Instance,
     Request,
     circulation_cost,
@@ -297,15 +296,15 @@ def solve(instance: Instance) -> SolveReport:
     and tour are built on the base graph, so reports do not depend on the
     compression.
 
-    Every box point is priced once by one ``circulation_cost`` call; every
-    candidate carries the segment instance's own ``demands`` tuple, so only
-    the segment terms are summed per point.  lambda = 0, the relaxation's
-    own class, goes first, then the Gray walk: it wins most solves, and its
-    total bounds the rest.  The reflected walk is point-symmetric, so its
-    middle yield is lambda = 0 again and is skipped.  A point is repaired
-    unless its total cannot beat the incumbent, or can only tie it with a
-    larger lambda, because repair weights are nonnegative; ties go to the
-    lexicographically smallest lambda whatever the order of the walk.
+    Every box point is priced once by one ``circulation_cost`` call, which
+    sums only the segment terms; the request term is cached per instance.
+    lambda = 0, the relaxation's own class, goes first, then the Gray walk:
+    it wins most solves, and its total bounds the rest.  The reflected walk
+    is point-symmetric, so its middle yield is lambda = 0 again and is
+    skipped.  A point is repaired unless its total cannot beat the
+    incumbent, or can only tie it with a larger lambda, because repair
+    weights are nonnegative; ties go to the lexicographically smallest
+    lambda whatever the order of the walk.
     ``connectivity_repair`` reads a candidate only through its support, the
     segments that carry flow (every arc carries its demand), so each
     support is repaired once and its witness reused.  lambda is read off g,
@@ -338,10 +337,8 @@ def solve(instance: Instance) -> SolveReport:
     tree = spanning_tree(graph)
     f = min_cost_circulation(instance)
     inner, basis = segment_instance(instance, seg), segment_basis(seg, tree)
-    # every candidate shares these arc flows, so circulation_cost adds the
-    # request term once per instance, not once per box point
-    f_seg = Circulation(seg.project(f.edge_flow), inner.demands)
-    f_non_tree = [(s, f_seg.edge_flow[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
+    f_seg = seg.project(f)
+    f_non_tree = [(s, f_seg[s], cycle[s]) for s, cycle in zip(basis.non_tree_edges, basis.cycles)]
 
     repaired = {}  # support -> its repair
     best = (math.inf, ())  # (total, lambda, g, repair) once a point is repaired
@@ -352,10 +349,10 @@ def solve(instance: Instance) -> SolveReport:
         base_cost = cost_of(inner, g)
         if base_cost > bound:
             continue  # repair weight is nonnegative: this point cannot win
-        lam = tuple((g.edge_flow[s] - value) * sign for s, value, sign in f_non_tree)
+        lam = tuple((g[s] - value) * sign for s, value, sign in f_non_tree)
         if base_cost == bound and lam > best[1]:
             continue
-        support = tuple(map(bool, g.edge_flow))
+        support = tuple(map(bool, g))
         st = repaired.get(support)
         if st is None:
             st = repaired[support] = connectivity_repair(inner, g)
@@ -365,7 +362,7 @@ def solve(instance: Instance) -> SolveReport:
             bound = total
 
     total, lam, g, st = best
-    g = Circulation(seg.expand(g.edge_flow, m), g.arc_flow)
+    g = seg.expand(g, m)
     st = st._replace(edge_ids=frozenset(chain.from_iterable([seg.edges[s].edge_ids for s in st.edge_ids])))
     tour = euler_tour(build_euler_multigraph(instance, g, st))
     if tour.total != total:

@@ -4,8 +4,7 @@ Candidate homology classes are f plus small integer combinations of the
 fundamental cycles.  Walking coefficient vectors in reflected mixed-radix
 Gray order changes one coefficient by one per step, so each candidate is the
 previous one plus or minus one fundamental cycle: O(|C_i|) additions, then an
-O(m) copy of the edge flows into the yielded ``Circulation``, a named tuple
-built without running any Python-level constructor.  The walk comes in runs
+O(m) copy of the edge flows into the yielded tuple.  The walk comes in runs
 of equal steps (``_gray_runs``): coordinate 0 moves 2k times in a row between
 carries, so the step walker resumes, and the run's cycle entries are looked
 up, once per 2k+1 candidates, not once per candidate.
@@ -15,12 +14,10 @@ its segment graph (``graph_core.segment_basis`` projects the cycles): O(r +
 k + p + leaves) of them however long the chains are.  The walk yields no
 coefficient vector alongside: each cycle is +1 or -1 on its own non-tree
 edge and 0 on every other, so a caller that needs lambda reads it off the
-candidate's non-tree flows.  Every candidate shares f's arc flows, the very
-tuple: ``solve`` passes the swept instance's ``demands``, whose request term
-``circulation_cost`` then adds once per instance.
+candidate's non-tree flows.
 
 Every box point is still yielded, and its caller still prices each one with
-``circulation_cost`` (O(m) once the request term is cached); together these
+``circulation_cost`` (O(m), the request term being cached); together these
 are nearly all of a large sweep.  A sweep that skips points needs the
 benchmark's tracing contract, one yielded candidate and one cost call per box
 point, to be redefined first.
@@ -86,20 +83,17 @@ def gray_code_lambdas(r: int, k: int) -> Iterator[LambdaVector]:
 def enumerate_candidates(f: Circulation, basis: CycleBasis, k: int) -> Iterator[Circulation]:
     """Stream f + sum(lambda_i * C_i) over gray_code_lambdas(r, k).
 
-    Candidates appear in the same order as the lambda vectors, all share
-    f's arc-flow tuple itself, not a copy, and all conserve flow because
-    every term does.
+    Candidates appear in the same order as the lambda vectors, and all
+    conserve flow because every term does.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     r = len(basis.non_tree_edges)
-    arc_flow = f.arc_flow
-    working = list(f.edge_flow)
+    working = list(f)
     for cycle in basis.cycles:
         for eid, val in cycle.items():
             working[eid] -= k * val
-    new = tuple.__new__  # Circulation(...) without the named tuple's __new__ wrapper
-    yield new(Circulation, (tuple(working), arc_flow))
+    yield tuple(working)
     # a step (i, d) adds d * C_i: the (edge id, signed value) pairs to apply,
     # looked up once per run
     moves = {}
@@ -111,4 +105,4 @@ def enumerate_candidates(f: Circulation, basis: CycleBasis, k: int) -> Iterator[
         for _ in range(count):
             for eid, val in pairs:
                 working[eid] += val
-            yield new(Circulation, (tuple(working), arc_flow))
+            yield tuple(working)

@@ -75,7 +75,7 @@ def component_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 class Edge(NamedTuple):
     """Undirected edge; (u, v) with u < v is also the forward orientation.
 
-    A named tuple, like ``Circulation`` and ``Segment``: the parser and
+    A named tuple, like ``Request`` and ``Segment``: the parser and
     ``BaseGraph.from_edges`` build one per edge with ``tuple.__new__``, which
     runs no Python-level constructor.
     """

@@ -120,14 +120,14 @@ def contract_support(instance: Instance, g: Circulation, pairs: list[tuple[int, 
     """
     graph = instance.base
     low = [0, *graph.vertices]  # base vertex per vertex, least per class at roots
-    for e in compress(graph.edges, g.edge_flow):  # the supported edges
+    for e in compress(graph.edges, g):  # the supported edges
         low[roots[e.u]] = min(low[roots[e.u]], e.low)
     classes = sorted([v for v in range(1, len(low)) if roots[v] == v], key=low.__getitem__)
     qid = dict(zip(classes, range(len(classes))))  # class root -> quotient id
 
     quotient_edges: list[tuple[int, int, Cost, tuple[int, ...]]] = []
     for eid, e in enumerate(graph.edges):
-        if g.edge_flow[eid] != 0:
+        if g[eid] != 0:
             continue  # contracted inside its component
         qu, qv = qid[roots[e.u]], qid[roots[e.v]]
         if qu == qv:
@@ -301,20 +301,20 @@ def connectivity_repair(instance: Instance, g: Circulation) -> SteinerSolution:
 def build_euler_multigraph(instance: Instance, g: Circulation, st: SteinerSolution) -> EulerMultigraph:
     """Directed multigraph whose Euler circuits are exactly the class tours.
 
-    Copies per distinct arc, in one pass: request arcs, flow edges, then
-    each Steiner edge both ways (merged with its flow arc, should a library
-    caller's Steiner edge carry flow).  Balance is checked per distinct arc;
-    a balanced but disconnected multigraph is refused by euler_tour.
+    Copies per distinct arc, in one pass: request arcs at their demands,
+    flow edges, then each Steiner edge both ways (merged with its flow arc,
+    should a library caller's Steiner edge carry flow).  Balance is checked
+    per distinct arc; a balanced but disconnected multigraph is refused by
+    euler_tour.
     """
     graph = instance.base
-    edges, arc_flow, edge_flow = graph.edges, g.arc_flow, g.edge_flow
+    edges = graph.edges
     counts: dict[Arc, int] = {}
     for aid, r in enumerate(instance.requests):
-        if arc_flow[aid] > 0:
-            counts[(r.source, r.target, KIND_REQUEST, aid, r.cost)] = arc_flow[aid]
-    for eid in compress(range(len(edges)), edge_flow):  # the edges with flow
+        counts[(r.source, r.target, KIND_REQUEST, aid, r.cost)] = r.demand
+    for eid in compress(range(len(edges)), g):  # the edges with flow
         u, v, cost = edges[eid]
-        val = edge_flow[eid]
+        val = g[eid]
         if val > 0:
             counts[(u, v, KIND_EDGE, eid, cost)] = val
         else:

@@ -146,7 +146,7 @@ def _shortest_path_carrying_paths(graph: BaseGraph, source: int, target: int) ->
 
 
 def zero_circulation(instance: Instance) -> Circulation:
-    return Circulation((0,) * len(instance.base.edges), (0,) * len(instance.requests))
+    return (0,) * len(instance.base.edges)
 
 
 def _conserves(vertex_count: int, flows: Iterable[tuple[int, int, int]]) -> bool:
@@ -163,20 +163,18 @@ def edge_flow_conserves(graph: BaseGraph, edge_flow: tuple[int, ...]) -> bool:
 
 
 def is_feasible(instance: Instance, f: Circulation) -> bool:
-    """Conservation at every vertex and arc flows equal to demands."""
-    if len(f.edge_flow) != len(instance.base.edges):
+    """One flow per edge, and conservation at every vertex with every
+    request arc at its demand."""
+    if len(f) != len(instance.base.edges):
         return False
-    if len(f.arc_flow) != len(instance.requests):
-        return False
-    if any(f.arc_flow[aid] != r.demand for aid, r in enumerate(instance.requests)):
-        return False
-    edges = ((e.u, e.v, x) for e, x in zip(instance.base.edges, f.edge_flow))
-    arcs = ((r.source, r.target, x) for r, x in zip(instance.requests, f.arc_flow))
+    edges = ((e.u, e.v, x) for e, x in zip(instance.base.edges, f))
+    arcs = ((r.source, r.target, r.demand) for r in instance.requests)
     return _conserves(instance.base.vertex_count, itertools.chain(edges, arcs))
 
 
 def support_connected(instance: Instance, f: Circulation) -> bool:
-    """True when the nonzero edges and arcs form one connected subgraph."""
+    """True when the nonzero edges and the request arcs form one connected
+    subgraph."""
     pairs = support_pairs(instance, f)
     roots = component_roots(instance.base.vertex_count + 1, pairs)
     return len({roots[u] for u, _ in pairs}) <= 1
@@ -194,7 +192,7 @@ def initial_circulation(instance: Instance, basis: CycleBasis) -> Circulation:
                 flows[eid] -= r.demand
             else:
                 flows[eid] += r.demand
-    return Circulation(tuple(flows), tuple(r.demand for r in instance.requests))
+    return tuple(flows)
 
 
 def tour_in_class(instance: Instance, g: Circulation) -> Tour:
@@ -283,12 +281,12 @@ def brute_force_circulation(instance: Instance, basis: CycleBasis) -> OracleResu
         best: tuple[Cost, int, tuple[int, ...], Circulation] | None = None
         for lam in itertools.product(range(-box, box + 1), repeat=r):
             count += 1
-            flows = list(f0.edge_flow)
+            flows = list(f0)
             for i, coeff in enumerate(lam):
                 if coeff:
                     for eid, val in cycles[i]:
                         flows[eid] += coeff * val
-            cand = Circulation(tuple(flows), f0.arc_flow)
+            cand = tuple(flows)
             cost = circulation_cost(instance, cand)
             key = (cost, max(abs(x) for x in lam), lam)
             if best is None or key < (best[0], best[1], best[2]):
@@ -363,8 +361,7 @@ def verify_tour(instance: Instance, tour: Tour) -> TourCheck:
             return TourCheck(False, "empty tour but requests exist", None, None)
         if tour.total != 0:
             return TourCheck(False, "empty tour with nonzero total", None, None)
-        zero = Circulation((0,) * len(graph.edges), ())
-        return TourCheck(True, None, 0, zero)
+        return TourCheck(True, None, 0, (0,) * len(graph.edges))
 
     edge_flow = [0] * len(graph.edges)
     arc_count = [0] * len(instance.requests)
@@ -399,7 +396,7 @@ def verify_tour(instance: Instance, tour: Tour) -> TourCheck:
     for aid, r in enumerate(instance.requests):
         if arc_count[aid] != r.demand:
             return TourCheck(False, f"arc {aid} traversed {arc_count[aid]} of {r.demand} times", None, None)
-    circ = Circulation(tuple(edge_flow), tuple(arc_count))
+    circ = tuple(edge_flow)
     if cost != tour.total:
         return TourCheck(False, "recorded total differs from recomputed cost", cost, circ)
     return TourCheck(True, None, cost, circ)
@@ -428,7 +425,7 @@ def make_tight_instance(r: int) -> tuple[BaseGraph, Circulation]:
         flows[2 * i + 1] -= 1   # (2, 3+i) traversed mid->2
         flows[1] += 1           # (2, 3) traversed 2->mid
         flows[0] -= 1           # (1, 3) traversed mid->1
-    return graph, Circulation(tuple(flows), ())
+    return graph, tuple(flows)
 
 
 def random_instance(seed: int, n_max: int, r_max: int, p_max: int, cost_max: int) -> Instance:

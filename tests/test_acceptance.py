@@ -13,7 +13,6 @@ from time import perf_counter
 import pytest
 
 from scpsolver.acceptance import _family_instance, decompose, is_elementary, run_acceptance
-from scpsolver.circulation import Circulation
 from scpsolver.cli import main
 from scpsolver.cli_io import emit_report, format_instance, solve
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
@@ -107,7 +106,7 @@ def test_criterion_3_candidate_enumeration_is_exact():
         k = trial % 3 + 1
         f = zero_circulation(inst)
         lams = list(gray_code_lambdas(r, k))
-        cands = [c.edge_flow for c in enumerate_candidates(f, basis, k)]
+        cands = list(enumerate_candidates(f, basis, k))
         ok = ok and len(cands) == (2 * k + 1) ** r == len(set(cands))
         for a, b in zip(lams, lams[1:]):
             steps = [abs(x - y) for x, y in zip(a, b)]
@@ -115,7 +114,7 @@ def test_criterion_3_candidate_enumeration_is_exact():
         seen = set(cands)
         for offsets in itertools.product(range(-k, k + 1), repeat=r):
             nontree = {
-                eid: f.edge_flow[eid] + off
+                eid: f[eid] + off
                 for eid, off in zip(basis.non_tree_edges, offsets)
             }
             ok = ok and _forced_tree_flows(inst, basis.tree, nontree) in seen
@@ -138,7 +137,7 @@ def test_criterion_4_decomposition_stays_within_rank():
             lam = rng.randint(-3, 3)
             for eid, val in cycle.items():
                 flows[eid] += lam * val
-        parts = decompose(g, Circulation(tuple(flows), ()))
+        parts = decompose(g, tuple(flows))
         rebuilt = [0] * len(g.edges)
         for value, unit in parts:
             for eid, sign in unit.items():
@@ -155,7 +154,7 @@ def test_criterion_5_proximity_bound_is_tight():
         graph, circ = make_tight_instance(r)
         ok = ok and cycle_rank(graph) == r
         ok = ok and is_elementary(graph, circ)
-        ok = ok and max(abs(x) for x in circ.edge_flow) == r
+        ok = ok and max(abs(x) for x in circ) == r
     _verdict(5, "tight family r=1..6", ok)
     assert ok
 

@@ -13,7 +13,7 @@ from scpsolver.circulation import (
     segment_instance,
 )
 from scpsolver.graph_core import BaseGraph, Edge, RootedTree, cycle_rank, fundamental_cycles, smooth_topology, spanning_tree
-from scpsolver.homology_tour import SteinerSolution
+from scpsolver.homology_tour import SteinerSolution, connectivity_repair
 from scpsolver.oracle import (
     SplitMix64,
     brute_force_circulation,
@@ -76,13 +76,12 @@ def test_instance_allows_opposite_directions():
 
 
 def test_circulation_is_an_immutable_value():
-    a = Circulation((1, -1, 0), (2,))
-    b = Circulation(tuple([1, -1, 0]), (2,))
+    a: Circulation = (1, -1, 0)
+    b: Circulation = tuple([1, -1, 0])
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != Circulation((1, -1, 0), (1,))
-    assert (a.edge_flow, a.arc_flow) == ((1, -1, 0), (2,))
-    with pytest.raises(AttributeError):
-        a.edge_flow = (0, 0, 0)
+    assert a != (1, -1, 1)
+    with pytest.raises(TypeError):
+        a[0] = 0
     with pytest.raises(AttributeError):
         a.extra = 1
     # the other per-solve records keep the same value contract and field names
@@ -139,10 +138,6 @@ def test_per_point_cost_reads_are_built_once():
     assert instance.base.adjacency is instance.base.adjacency
     assert instance.arc_costs is instance.arc_costs
     assert inner.base.edge_costs == tuple(s.cost for s in seg.edges)
-    # the sweep prices its candidates' arc flows as the cached request term
-    assert inner.demands is inner.demands
-    assert inner.demands == tuple(r.demand for r in inner.requests)
-    assert min_cost_circulation(instance).arc_flow is instance.demands
     tenths = _tenths(instance)
     assert tenths.demand_cost is tenths.demand_cost
     assert tenths.demand_cost == sum(r.demand * r.cost for r in tenths.requests)
@@ -154,11 +149,17 @@ def _tenths(instance):
     return Instance(graph, tuple(r._replace(cost=Fraction(r.cost, 10)) for r in instance.requests))
 
 
+def _float_tenths(instance):
+    """The instance with every edge and request cost c turned into the float c/10."""
+    graph = BaseGraph.from_edges(instance.base.vertex_count, [(e.u, e.v, e.cost / 10) for e in instance.base.edges])
+    return Instance(graph, tuple(r._replace(cost=r.cost / 10) for r in instance.requests))
+
+
 def _two_sums(instance, f):
-    """circulation_cost as both sums over every call: arc flow times request
+    """circulation_cost as both sums over every call: demand times request
     cost, then |edge flow| times edge cost, from 0."""
-    arcs = sum(map(mul, f.arc_flow, instance.arc_costs))
-    return sum(map(mul, map(abs, f.edge_flow), instance.base.edge_costs), arcs)
+    arcs = sum(map(mul, [r.demand for r in instance.requests], instance.arc_costs))
+    return sum(map(mul, map(abs, f), instance.base.edge_costs), arcs)
 
 
 def test_circulation_cost_matches_the_two_sum_formula():
@@ -166,26 +167,13 @@ def test_circulation_cost_matches_the_two_sum_formula():
     kinds = set()
     for i in range(300):
         inst = random_instance(rng.next64(), 10, 4, 6, 20)
-        if i % 2:
-            inst = _tenths(inst)
-        edge_flow = tuple(rng.randint(-6, 6) for _ in inst.base.edges)
-        demands = inst.demands
-        arc_flows = {
-            "demands": demands,
-            "equal copy": tuple(list(demands)),
-            "equal floats": tuple(map(float, demands)),
-            "zero": (0,) * len(demands),
-            "doubled": tuple(2 * d for d in demands),
-        }
-        if demands:
-            assert arc_flows["equal copy"] is not demands
-        for kind, arc_flow in arc_flows.items():
-            f = Circulation(edge_flow, arc_flow)
-            got, want = circulation_cost(inst, f), _two_sums(inst, f)
-            assert type(got) is type(want), kind
-            assert got == want, kind
-            kinds.add((kind, type(got)))
-    assert {("demands", int), ("demands", Fraction), ("equal floats", float)} <= kinds
+        inst = (inst, _tenths(inst), _float_tenths(inst))[i % 3]
+        f = tuple(rng.randint(-6, 6) for _ in inst.base.edges)
+        got, want = circulation_cost(inst, f), _two_sums(inst, f)
+        assert type(got) is type(want)
+        assert got == want
+        kinds.add(type(got))
+    assert {int, Fraction, float} <= kinds
 
 
 # --- cost and feasibility ---
@@ -193,7 +181,10 @@ def test_circulation_cost_matches_the_two_sum_formula():
 
 def test_zero_circulation_cost_is_zero():
     inst = triangle_instance()
-    assert circulation_cost(inst, zero_circulation(inst)) == 0
+    empty = Instance(inst.base, ())
+    assert circulation_cost(empty, zero_circulation(empty)) == 0
+    # every request arc carries its demand, so only the edge terms vanish
+    assert circulation_cost(inst, zero_circulation(inst)) == inst.demand_cost == 2
 
 
 def test_zero_circulation_feasible_only_without_requests():
@@ -207,17 +198,15 @@ def test_zero_circulation_feasible_only_without_requests():
 def test_cost_counts_arc_demand_and_edge_magnitude():
     g = BaseGraph.from_edges(2, [(1, 2, 2)])
     inst = Instance(g, (Request(1, 2, 5, 2),))
-    f = Circulation((-3,), (2,))
+    f = (-3,)
     # 2 units on a cost-5 arc plus |{-3}| units on a cost-2 edge
     assert circulation_cost(inst, f) == 10 + 6
 
 
 def test_is_feasible_rejects_wrong_shapes_and_broken_conservation():
     inst = triangle_instance()
-    assert not is_feasible(inst, Circulation((0, 0), (1, 1)))
-    assert not is_feasible(inst, Circulation((0, 0, 0), (1,)))
-    assert not is_feasible(inst, Circulation((0, 0, 0), (1, 2)))  # wrong arc flow
-    assert not is_feasible(inst, Circulation((1, 0, 0), (1, 1)))  # no conservation
+    assert not is_feasible(inst, (0, 0))
+    assert not is_feasible(inst, (1, 0, 0))  # no conservation
 
 
 def test_edge_flow_conserves():
@@ -237,10 +226,13 @@ def test_support_of_zero_circulation_is_connected():
 def test_support_split_across_path():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
-    f = Circulation((-1, 0, -1), (1, 1))
+    f = (-1, 0, -1)
     assert is_feasible(inst, f)
     assert not support_connected(inst, f)
-    assert support_connected(inst, Circulation((-1, 0, 0), (1, 0)))
+    # every request arc is in the support, whatever the edge flows
+    zero = zero_circulation(inst)
+    assert not support_connected(inst, zero)
+    assert connectivity_repair(inst, zero) == SteinerSolution(frozenset({1}), 2)
 
 
 # --- initial circulation ---
@@ -250,24 +242,24 @@ def test_initial_routes_demand_back_through_tree():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
     inst = Instance(g, (Request(1, 3, 2),))
     f = initial_circulation(inst, basis_of(inst))
-    assert f.edge_flow == (-1, -1)
-    assert f.arc_flow == (1,)
+    assert f == (-1, -1)
+    assert is_feasible(inst, f)
 
 
 def test_initial_scales_with_demand():
     g = BaseGraph.from_edges(2, [(1, 2, 1)])
     inst = Instance(g, (Request(1, 2, 0, 3),))
     f = initial_circulation(inst, basis_of(inst))
-    assert f.edge_flow == (-3,)
-    assert f.arc_flow == (3,)
+    assert f == (-3,)
+    assert is_feasible(inst, f)
 
 
 def test_initial_opposite_requests_cancel_on_edges():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
     inst = Instance(g, (Request(1, 3, 2), Request(3, 1, 2)))
     f = initial_circulation(inst, basis_of(inst))
-    assert f.edge_flow == (0, 0)
-    assert f.arc_flow == (1, 1)
+    assert f == (0, 0)
+    assert is_feasible(inst, f)
 
 
 def test_initial_is_always_feasible():
@@ -295,7 +287,7 @@ def test_min_cost_single_edge():
     g = BaseGraph.from_edges(2, [(1, 2, 10)])
     inst = Instance(g, (Request(1, 2, 3),))
     f = min_cost_circulation(inst)
-    assert f.edge_flow == (-1,)
+    assert f == (-1,)
     assert circulation_cost(inst, f) == 13
 
 
@@ -304,21 +296,21 @@ def test_min_cost_detours_around_expensive_direct_edge():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1), (1, 3, 10)])
     inst = Instance(g, (Request(1, 3, 2),))
     f = min_cost_circulation(inst)
-    assert f.edge_flow == (-1, -1, 0)
+    assert f == (-1, -1, 0)
     assert circulation_cost(inst, f) == 4
 
 
 def test_min_cost_edgeless_graph():
     inst = Instance(BaseGraph(1, ()), ())
     f = min_cost_circulation(inst)
-    assert f == Circulation((), ())
+    assert f == ()
 
 
 def test_min_cost_triangle_frozen():
     inst = triangle_instance()
     basis = basis_of(inst)
     f = min_cost_circulation(inst)
-    assert f.edge_flow == (-1, -1, 0)
+    assert f == (-1, -1, 0)
     assert circulation_cost(inst, f) == 4
     assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
 
@@ -328,7 +320,7 @@ def test_min_cost_square_frozen():
     basis = basis_of(inst)
     f = min_cost_circulation(inst)
     # one of two cost-4 optima; (0, 1, 0, -1) is the other
-    assert f.edge_flow == (-1, 0, -1, 0)
+    assert f == (-1, 0, -1, 0)
     assert circulation_cost(inst, f) == 4
     assert circulation_cost(inst, f) == brute_force_circulation(inst, basis).cost
 
@@ -338,11 +330,11 @@ def test_min_cost_reroutes_around_expensive_edge():
     g = BaseGraph.from_edges(4, [(1, 2, 50), (2, 3, 1), (3, 4, 1), (1, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1),))
     f = min_cost_circulation(inst)
-    assert f.edge_flow == (0, 1, 1, -1)
+    assert f == (0, 1, 1, -1)
     assert circulation_cost(inst, f) == 4
 
 
-def test_min_cost_keeps_arc_flows_pinned():
+def test_min_cost_circulation_is_feasible():
     rng = SplitMix64(12)
     for _ in range(40):
         inst = random_instance(rng.next64(), 9, 4, 6, 15)
@@ -376,10 +368,10 @@ def test_min_cost_not_improved_by_basis_steps():
         base = circulation_cost(inst, f)
         for cycle in basis.cycles:
             for lam in (-2, -1, 1, 2):
-                flows = list(f.edge_flow)
+                flows = list(f)
                 for eid, val in cycle.items():
                     flows[eid] += lam * val
-                assert circulation_cost(inst, Circulation(tuple(flows), f.arc_flow)) >= base
+                assert circulation_cost(inst, tuple(flows)) >= base
 
 
 def _residual_has_negative_cycle(graph, flows):
@@ -403,7 +395,7 @@ def test_min_cost_leaves_no_negative_residual_cycle():
     for _ in range(40):
         inst = random_instance(rng.next64(), 9, 4, 6, 15)
         f = min_cost_circulation(inst)
-        assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
+        assert not _residual_has_negative_cycle(inst.base, f)
 
 
 def with_large_demands(inst, rng):
@@ -430,7 +422,7 @@ def test_min_cost_is_optimal_and_deterministic_at_large_demand():
     for inst in instances:
         f = min_cost_circulation(inst)
         assert is_feasible(inst, f)
-        assert not _residual_has_negative_cycle(inst.base, f.edge_flow)
+        assert not _residual_has_negative_cycle(inst.base, f)
         assert min_cost_circulation(inst) == f
 
 
@@ -439,19 +431,19 @@ def test_min_cost_is_optimal_and_deterministic_at_large_demand():
 
 def test_decompose_zero_flow_is_empty():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
-    assert decompose(g, Circulation((0, 0, 0), ())) == []
+    assert decompose(g, (0, 0, 0)) == []
 
 
 def test_decompose_scaled_cycle_is_one_part():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
-    parts = decompose(g, Circulation((3, -3, 3), ()))
+    parts = decompose(g, (3, -3, 3))
     assert parts == [(3, {0: 1, 2: 1, 1: -1})]
 
 
 def test_decompose_rejects_nonconserving_flow():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (2, 3, 1)])
     with pytest.raises(ValueError):
-        decompose(g, Circulation((1, 0), ()))
+        decompose(g, (1, 0))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -472,7 +464,7 @@ def test_decompose_reconstructs_exactly():
             lam = rng.randint(-4, 4)
             for eid, val in cycle.items():
                 flows[eid] += lam * val
-        parts = decompose(g, Circulation(tuple(flows), ()))
+        parts = decompose(g, tuple(flows))
         assert len(parts) <= cycle_rank(g)
         rebuilt = [0] * len(g.edges)
         for value, unit in parts:
@@ -489,30 +481,30 @@ def test_decompose_reconstructs_exactly():
 
 def test_zero_flow_is_elementary():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
-    assert is_elementary(g, Circulation((0, 0, 0), ()))
+    assert is_elementary(g, (0, 0, 0))
 
 
 def test_unit_cycle_is_elementary():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
-    assert is_elementary(g, Circulation((1, -1, 1), ()))
+    assert is_elementary(g, (1, -1, 1))
 
 
 def test_doubled_cycle_is_not_elementary():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
-    assert not is_elementary(g, Circulation((2, -2, 2), ()))
+    assert not is_elementary(g, (2, -2, 2))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_tight_instance_is_elementary_despite_large_flow(r):
     graph, circ = make_tight_instance(r)
-    assert max(abs(x) for x in circ.edge_flow) == r
+    assert max(abs(x) for x in circ) == r
     assert is_elementary(graph, circ)
 
 
 def test_elementary_rejects_doubled_cycle_inside_larger_flow():
     # doubled triangle plus an innocent unit flow elsewhere
     g = BaseGraph.from_edges(5, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
-    f = Circulation((2, -2, 2, 1, 1, -1), ())
+    f = (2, -2, 2, 1, 1, -1)
     assert not is_elementary(g, f)
 
 
@@ -528,8 +520,8 @@ def test_elementary_circulations_never_exceed_rank():
             lam = rng.randint(-1, 1)
             for eid, sign in cyc.items():
                 flows[eid] += lam * sign
-        f = Circulation(tuple(flows), ())
+        f = tuple(flows)
         if is_elementary(g, f):
             hits += 1
-            assert max(map(abs, f.edge_flow), default=0) <= cycle_rank(g)
+            assert max(map(abs, f), default=0) <= cycle_rank(g)
     assert hits > 20

@@ -360,12 +360,9 @@ def test_solve_matches_the_reference_sweep():
 
 def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypatch):
     # the sweep's contract at library scale: one candidate and one
-    # circulation_cost call per box point, and every candidate carries the
-    # swept instance's own demands tuple, so its request term is the cached
-    # one and is not summed again per point
+    # circulation_cost call per box point
     walk, price = cli_io.enumerate_candidates, cli_io.circulation_cost
-    yielded = 0
-    on_demands: list[bool] = []
+    yielded = priced = 0
 
     def counted_walk(f, basis, k):
         nonlocal yielded
@@ -374,7 +371,8 @@ def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypa
             yield g
 
     def recorded_price(instance, g):
-        on_demands.append(g.arc_flow is instance.demands)
+        nonlocal priced
+        priced += 1
         return price(instance, g)
 
     monkeypatch.setattr(cli_io, "enumerate_candidates", counted_walk)
@@ -384,13 +382,11 @@ def test_every_box_point_is_yielded_once_and_priced_once_on_the_demands(monkeypa
     instances += [random_instance(rng.next64(), 10, 4, 6, 20) for _ in range(50)]
     ranks = set()
     for instance in instances:
-        yielded = 0
-        on_demands.clear()
+        yielded = priced = 0
         report = solve(instance)
         box = (2 * report.r + 1) ** report.r if instance.requests else 0
         assert report.candidates_evaluated == box
-        assert yielded == len(on_demands) == box
-        assert all(on_demands)
+        assert yielded == priced == box
         ranks.add(report.r)
     assert {2, 3, 4, 5} <= ranks
 
@@ -431,12 +427,12 @@ def test_sweep_repairs_lambda_zero_first_and_then_only_points_under_the_incumben
         report = solve(instance)
         seg = smooth_topology(instance.base, {v for q in instance.requests for v in (q.source, q.target)})
         inner = segment_instance(instance, seg)
-        assert repairs[0] == (1, Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands))
+        assert repairs[0] == (1, seg.project(min_cost_circulation(instance)))
         assert len(priced) == report.candidates_evaluated
         weights = {}  # support -> repair weight
         totals = []
         for g in priced:
-            support = tuple(map(bool, g.edge_flow))
+            support = tuple(map(bool, g))
             if support not in weights:
                 weights[support] = repair(inner, g).weight
             totals.append(price(inner, g) + weights[support])
@@ -469,14 +465,14 @@ def test_segment_repair_witness_is_the_base_repair_witness():
         instance = tie_instance(seed)
         seg = smooth_topology(instance.base, {v for q in instance.requests for v in (q.source, q.target)})
         inner, basis = segment_instance(instance, seg), segment_basis(seg, spanning_tree(instance.base))
-        f = Circulation(seg.project(min_cost_circulation(instance).edge_flow), inner.demands)
+        f = seg.project(min_cost_circulation(instance))
         supports = {}
         for g in enumerate_candidates(f, basis, seg.cycle_rank):
-            supports.setdefault(tuple(map(bool, g.edge_flow)), g)
+            supports.setdefault(tuple(map(bool, g)), g)
         for g in supports.values():
             st = connectivity_repair(inner, g)
             if st.edge_ids:
-                base_g = Circulation(seg.expand(g.edge_flow, len(instance.base.edges)), g.arc_flow)
+                base_g = seg.expand(g, len(instance.base.edges))
                 expanded = frozenset(eid for sid in st.edge_ids for eid in seg.edges[sid].edge_ids)
                 assert (expanded, st.weight) == connectivity_repair(instance, base_g), seed
                 checked.add((seed, g))
@@ -760,10 +756,10 @@ def test_run_acceptance_flags_a_relaxation_off_its_optimum(monkeypatch):
         basis = fundamental_cycles(instance.base, spanning_tree(instance.base))
         if not basis.cycles:
             return f
-        flows = list(f.edge_flow)
+        flows = list(f)
         for eid, sign in basis.cycles[0].items():
             flows[eid] += 2 * sign
-        return Circulation(tuple(flows), f.arc_flow)
+        return tuple(flows)
 
     monkeypatch.setattr(acceptance, "min_cost_circulation", shifted)
     summary = run_acceptance(seed=5, count=40)
@@ -843,7 +839,7 @@ def test_segment_sweep_solves_20000_vertex_chains(family, monkeypatch):
     priced = cli_io.circulation_cost
 
     def recording(instance, g):
-        swept.add(len(g.edge_flow))
+        swept.add(len(g))
         return priced(instance, g)
 
     monkeypatch.setattr(cli_io, "circulation_cost", recording)
@@ -1249,7 +1245,8 @@ def test_cli_gen_env_seed_wins(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--n", "1"], ["--cost-max", "0"], ["--r", "-1"], ["--p", "-1"], ["--n", "1000001"], ["--n", "99999999999999999999"], ["--r", "1001"]],
+    [["--n", "1"], ["--cost-max", "0"], ["--r", "-1"], ["--p", "-1"], ["--n", "1000001"], ["--n", "99999999999999999999"], ["--r", "1001"],
+     ["--p", "1000001"], ["--p", "99999999999999"]],
 )
 def test_cli_gen_rejects_out_of_range_flags(flags, capsys):
     assert main(["gen", *flags]) == BAD_INPUT

@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scpsolver.acceptance import _family_instance
-from scpsolver.circulation import (
-    Circulation,
-    Instance,
-    Request,
-    circulation_cost,
-    min_cost_circulation,
-    segment_instance,
-)
+from scpsolver.circulation import Instance, Request, circulation_cost, min_cost_circulation
 from scpsolver.enumeration import enumerate_candidates, gray_code_lambdas
 from scpsolver.graph_core import BaseGraph, fundamental_cycles, segment_basis, smooth_topology, spanning_tree
 from scpsolver.oracle import SplitMix64, initial_circulation, is_feasible, random_instance, zero_circulation
@@ -105,7 +98,7 @@ def test_candidates_triangle_order_and_values():
     inst = Instance(g, ())
     basis = basis_of(inst)
     f = zero_circulation(inst)
-    got = [c.edge_flow for c in enumerate_candidates(f, basis, 1)]
+    got = list(enumerate_candidates(f, basis, 1))
     cycle = basis.cycles[0]
     want = []
     for lam in (-1, 0, 1):
@@ -114,11 +107,11 @@ def test_candidates_triangle_order_and_values():
 
 
 def _apply(f, basis, lam):
-    flows = list(f.edge_flow)
+    flows = list(f)
     for i, coeff in enumerate(lam):
         for eid, val in basis.cycles[i].items():
             flows[eid] += coeff * val
-    return Circulation(tuple(flows), f.arc_flow)
+    return tuple(flows)
 
 
 def test_candidates_match_from_scratch_evaluation():
@@ -136,26 +129,22 @@ def test_candidates_match_from_scratch_evaluation():
             cands = list(enumerate_candidates(f, basis, k))
             assert len(cands) == len(lams) == (2 * k + 1) ** r
             for lam, got in zip(lams, cands):
-                want = _apply(f, basis, lam)
-                assert type(got) is Circulation
-                assert (got.edge_flow, got.arc_flow) == (want.edge_flow, want.arc_flow)
+                assert got == _apply(f, basis, lam)
     assert ranks == {0, 1, 2, 3, 4}
     # the bases solve sweeps: grid-aisle 3-6 on segments, r = 2..5; k = r up
     # to r = 4, k = 1 at r = 5, and the one-point box k = 0
     for size in range(3, 7):
         inst = _family_instance("grid-aisle", size, 1)
         seg = smooth_topology(inst.base, {v for q in inst.requests for v in (q.source, q.target)})
-        inner, basis = segment_instance(inst, seg), segment_basis(seg, spanning_tree(inst.base))
-        f = Circulation(seg.project(min_cost_circulation(inst).edge_flow), inner.demands)
+        basis = segment_basis(seg, spanning_tree(inst.base))
+        f = seg.project(min_cost_circulation(inst))
         r = len(basis.non_tree_edges)
         assert r == size - 1
         for k in sorted({0, 1, r if r < 5 else 1}):
             cands = list(enumerate_candidates(f, basis, k))
             assert len(cands) == (2 * k + 1) ** r
             for lam, got in zip(_reference_gray(r, k), cands):
-                assert type(got) is Circulation
-                assert got.edge_flow == _apply(f, basis, lam).edge_flow
-                assert got.arc_flow is inner.demands
+                assert got == _apply(f, basis, lam)
 
 
 @pytest.mark.parametrize("r", range(6))
@@ -189,9 +178,8 @@ def test_candidates_stay_feasible_and_distinct():
         basis = basis_of(inst)
         f = initial_circulation(inst, basis)
         cands = list(enumerate_candidates(f, basis, 1))
-        assert len({c.edge_flow for c in cands}) == len(cands)
+        assert len(set(cands)) == len(cands)
         for c in cands:
-            assert c.arc_flow == f.arc_flow
             assert is_feasible(inst, c)
 
 
@@ -240,12 +228,12 @@ def test_candidates_cover_every_class_in_the_box():
         basis = basis_of(inst)
         f = initial_circulation(inst, basis)
         k = 1
-        seen = {c.edge_flow for c in enumerate_candidates(f, basis, k)}
+        seen = set(enumerate_candidates(f, basis, k))
         r = len(basis.non_tree_edges)
         assert len(seen) == (2 * k + 1) ** r
         for offsets in itertools.product(range(-k, k + 1), repeat=r):
             nontree = {
-                eid: f.edge_flow[eid] + off
+                eid: f[eid] + off
                 for eid, off in zip(basis.non_tree_edges, offsets)
             }
             completed = _forced_tree_flows(inst, basis.tree, nontree)
@@ -266,12 +254,13 @@ def test_candidate_costs_agree_with_direct_cost():
 
 
 def _reference_cost(instance, f):
-    """The interpreted loop: arc terms, then edge terms, left to right."""
+    """The interpreted loop: arc terms at the demands, then edge terms, left
+    to right."""
     total = 0
-    for aid, r in enumerate(instance.requests):
-        total += f.arc_flow[aid] * r.cost
+    for r in instance.requests:
+        total += r.demand * r.cost
     for eid, e in enumerate(instance.base.edges):
-        total += abs(f.edge_flow[eid]) * e.cost
+        total += abs(f[eid]) * e.cost
     return total
 
 
@@ -287,10 +276,7 @@ def test_circulation_cost_matches_reference_loop_in_value_and_type():
         inst = random_instance(rng.next64(), 10, 4, 6, 20)
         if i % 2:
             inst = _tenths(inst)
-        f = Circulation(
-            tuple(rng.randint(-6, 6) for _ in inst.base.edges),
-            tuple(rng.randint(0, 6) for _ in inst.requests),
-        )
+        f = tuple(rng.randint(-6, 6) for _ in inst.base.edges)
         got, want = circulation_cost(inst, f), _reference_cost(inst, f)
         assert type(got) is type(want)
         assert repr(got) == repr(want)

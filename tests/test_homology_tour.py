@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from scpsolver.circulation import (
-    Circulation,
     Instance,
     Request,
     circulation_cost,
@@ -54,7 +53,7 @@ def split_path_instance():
     # two requests at opposite ends; their class supports do not touch
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 5), (3, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
-    return inst, Circulation((-1, 0, -1), (1, 1))
+    return inst, (-1, 0, -1)
 
 
 # --- support contraction ---
@@ -63,7 +62,7 @@ def split_path_instance():
 def test_contract_connected_support_gives_one_terminal():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(1, 3, 1)))
-    cg = contract(inst, Circulation((-1, -1, 0), (1, 1)))
+    cg = contract(inst, (-1, -1, 0))
     assert cg.vertices == (0,)
     assert cg.terminals == frozenset({0})
     assert cg.edges == ()
@@ -81,7 +80,7 @@ def test_contract_split_support():
 def test_contract_keeps_parallel_reconnection_edges():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 2), (3, 4, 1), (1, 4, 4)])
     inst = Instance(g, (Request(1, 2, 1), Request(3, 4, 1)))
-    cg = contract(inst, Circulation((-1, 0, -1, 0), (1, 1)))
+    cg = contract(inst, (-1, 0, -1, 0))
     assert cg.terminals == frozenset({0, 1})
     assert cg.edges == ((0, 1, 4, (1,)), (0, 1, 8, (3,)))
 
@@ -89,7 +88,7 @@ def test_contract_keeps_parallel_reconnection_edges():
 def test_contract_untouched_vertices_stay_isolated():
     g = BaseGraph.from_edges(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
     inst = Instance(g, (Request(1, 2, 1),))
-    cg = contract(inst, Circulation((-1, 0, 0), (1,)))
+    cg = contract(inst, (-1, 0, 0))
     # components: {1,2} then singletons 3 and 4
     assert cg.vertices == (0, 1, 2)
     assert cg.terminals == frozenset({0})
@@ -127,13 +126,12 @@ def reference_contract_support(instance, g):
     uf = DictUnionFind(range(1, graph.vertex_count + 1))
     touched = set()
     for eid, e in enumerate(graph.edges):
-        if g.edge_flow[eid] != 0:
+        if g[eid] != 0:
             uf.union(e.u, e.v)
             touched.update((e.u, e.v))
-    for aid, r in enumerate(instance.requests):
-        if g.arc_flow[aid] != 0:
-            uf.union(r.source, r.target)
-            touched.update((r.source, r.target))
+    for r in instance.requests:
+        uf.union(r.source, r.target)
+        touched.update((r.source, r.target))
     classes = {}
     for v in range(1, graph.vertex_count + 1):
         classes.setdefault(uf.find(v), []).append(v)
@@ -141,7 +139,7 @@ def reference_contract_support(instance, g):
     vertex_map = {v: q for q, members in enumerate(ordered) for v in members}
     quotient_edges = []
     for eid, e in enumerate(graph.edges):
-        if g.edge_flow[eid] != 0:
+        if g[eid] != 0:
             continue
         qu, qv = vertex_map[e.u], vertex_map[e.v]
         if qu != qv:
@@ -153,8 +151,8 @@ def reference_contract_support(instance, g):
 def reference_support_connected(instance, f):
     uf = DictUnionFind()
     touched = set()
-    pairs = [(e.u, e.v) for eid, e in enumerate(instance.base.edges) if f.edge_flow[eid] != 0]
-    pairs += [(r.source, r.target) for aid, r in enumerate(instance.requests) if f.arc_flow[aid] != 0]
+    pairs = [(e.u, e.v) for eid, e in enumerate(instance.base.edges) if f[eid] != 0]
+    pairs += [(r.source, r.target) for r in instance.requests]
     for a, b in pairs:
         uf.add(a)
         uf.add(b)
@@ -544,7 +542,7 @@ def test_steiner_sweep_stops_early_on_trees(monkeypatch):
 def test_repair_is_free_for_connected_class():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     inst = Instance(g, (Request(1, 2, 1), Request(1, 3, 1)))
-    st = connectivity_repair(inst, Circulation((-1, -1, 0), (1, 1)))
+    st = connectivity_repair(inst, (-1, -1, 0))
     assert st == SteinerSolution(frozenset(), 0)
 
 
@@ -601,7 +599,7 @@ def test_euler_multigraph_rejects_unbalanced_flow():
     g = BaseGraph.from_edges(3, [(1, 2, 1), (1, 3, 1), (2, 3, 1)])
     inst = Instance(g, ())
     with pytest.raises(RuntimeError):
-        build_euler_multigraph(inst, Circulation((1, 0, 0), ()), SteinerSolution(frozenset(), 0))
+        build_euler_multigraph(inst, (1, 0, 0), SteinerSolution(frozenset(), 0))
 
 
 def test_euler_multigraph_rejects_disconnected_flow():
@@ -614,7 +612,7 @@ def test_euler_multigraph_rejects_disconnected_flow():
         ],
     )
     inst = Instance(g, ())
-    two_loops = Circulation((1, -1, 1, 1, -1, 1, 0, 0), ())
+    two_loops = (1, -1, 1, 1, -1, 1, 0, 0)
     # balanced, so the multigraph is built; the walk leaves one loop unused
     with pytest.raises(RuntimeError, match="disconnected"):
         euler_tour(build_euler_multigraph(inst, two_loops, SteinerSolution(frozenset(), 0)))
@@ -636,7 +634,7 @@ def test_euler_multigraph_merges_a_steiner_edge_that_carries_flow():
     tour = euler_tour(mg)
     check = verify_tour(inst, tour)
     assert check.valid and check.cost == tour.total == 16
-    assert check.circulation.edge_flow == (-1, 0, -1)
+    assert check.circulation == (-1, 0, -1)
 
 
 def test_euler_tour_of_nothing_is_empty():
@@ -663,7 +661,7 @@ def test_tour_in_class_split_path_frozen():
     check = verify_tour(inst, tour)
     assert check.valid and check.cost == 14
     # steiner doubles cancel; the class is preserved
-    assert check.circulation.edge_flow == g.edge_flow
+    assert check.circulation == g
 
 
 def test_tour_in_class_unit_path_pays_double_bridge():
@@ -696,7 +694,7 @@ def test_tours_valid_across_random_candidates():
             check = verify_tour(inst, tour)
             assert check.valid, check.reason
             assert check.cost == tour.total
-            assert check.circulation.edge_flow == g.edge_flow
+            assert check.circulation == g
 
 
 # --- run-length euler tour against the per-unit walk ---
@@ -818,16 +816,15 @@ def test_single_request_of_demand_100000_solves():
     assert report.tour.total == report.cost
     check = verify_tour(inst, report.tour)
     assert check.valid and check.cost == report.cost
-    assert check.circulation.arc_flow == (100_000,)
 
 
 def reference_euler_arcs(instance, g, st):
     """build_euler_multigraph's arcs spelled out one per traversal, as before counts."""
     arcs = []
     for aid, r in enumerate(instance.requests):
-        arcs += [(r.source, r.target, KIND_REQUEST, aid, r.cost)] * g.arc_flow[aid]
+        arcs += [(r.source, r.target, KIND_REQUEST, aid, r.cost)] * r.demand
     for eid, e in enumerate(instance.base.edges):
-        val = g.edge_flow[eid]
+        val = g[eid]
         tail, head = (e.u, e.v) if val > 0 else (e.v, e.u)
         arcs += [(tail, head, KIND_EDGE, eid, e.cost)] * abs(val)
     for eid in sorted(st.edge_ids):

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from scpsolver.acceptance import decompose, is_elementary
-from scpsolver.circulation import Circulation, Instance, Request, circulation_cost
+from scpsolver.circulation import Instance, Request, circulation_cost
 from scpsolver.graph_core import BaseGraph, cycle_rank, fundamental_cycles, spanning_tree
 from scpsolver.homology_tour import KIND_EDGE, KIND_REQUEST, Tour
 from scpsolver.oracle import (
@@ -89,7 +89,7 @@ def test_tour_oracle_counts_demand_copies():
     res = brute_force_tour(inst)
     assert res.cost == 3 * (1 + 2)
     check = verify_tour(inst, res.witness)
-    assert check.valid and check.circulation.arc_flow == (3,)
+    assert check.valid
 
 
 def test_tour_oracle_interleaves_opposing_requests():
@@ -125,7 +125,7 @@ def test_circulation_oracle_rank_zero_returns_tree_routing():
     basis = fundamental_cycles(g, spanning_tree(g))
     res = brute_force_circulation(inst, basis)
     assert res.cost == 9
-    assert res.witness.edge_flow == (-1, -1)
+    assert res.witness == (-1, -1)
     assert res.nodes_explored == 1
 
 
@@ -199,7 +199,7 @@ def test_verify_accepts_the_obvious_tour():
     check = verify_tour(inst, tour)
     assert check.valid
     assert check.cost == 7
-    assert check.circulation == Circulation((-1,), (1,))
+    assert check.circulation == (-1,)
 
 
 def test_verify_rejects_broken_chain():
@@ -247,15 +247,15 @@ def test_verify_empty_tours():
 def test_tight_instance_r1_frozen():
     graph, circ = make_tight_instance(1)
     assert graph.vertex_count == 4
-    assert circ.edge_flow == (-1, 1, 1, -1)
+    assert circ == (-1, 1, 1, -1)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_tight_instance_properties(r):
     graph, circ = make_tight_instance(r)
-    assert edge_flow_conserves(graph, circ.edge_flow)
+    assert edge_flow_conserves(graph, circ)
     assert is_elementary(graph, circ)
-    assert max(abs(x) for x in circ.edge_flow) == r
+    assert max(abs(x) for x in circ) == r
     assert cycle_rank(graph) == r
     assert len(decompose(graph, circ)) == r
 
